@@ -7,7 +7,7 @@ from .metrics import (balancing_norm, dist, gl_align, incoherence,
                       procrustes_align, relative_error)
 from .model import FactorPair, GroundTruth
 from .sampling import (LooSelector, ObservationMask, loo_project, project,
-                       sample_mask, scaled_residual)
+                       sample_mask)
 from .solvers import (IterateTrace, RunResult, SolverConfig, SolverVariant,
                       gradient, objective, run, step)
 from .spectral import loo_init, spectral_init, truncated_svd

@@ -198,7 +198,7 @@ def dispatch(ns):
 def _run_converge(ns, spec, out):
     rows = experiments.run_convergence(spec, csv_path=out / "convergence.csv")
     diverged = sorted({r["algorithm"] for r in rows
-                       if float(r["rel_err"]) > 1e6})
+                       if not (float(r["rel_err"]) <= 1e6)})
     experiments.write_summary(out / "summary.json", spec, {
         "rows": len(rows), "diverged_algorithms": diverged})
     if ns.verbose:

@@ -12,6 +12,7 @@ __all__ = [
     "spectral_norm",
     "two_inf_norm",
     "full_svd",
+    "fix_signs",
 ]
 
 
@@ -77,12 +78,13 @@ def full_svd(m):
         u, sigma, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"SVD did not converge: {exc}") from exc
-    v = vt.T
-    # Sign convention: dominant entry of each left singular vector >= 0.
-    flip = np.empty(u.shape[1])
-    for j in range(u.shape[1]):
-        i = int(np.argmax(np.abs(u[:, j])))
-        flip[j] = -1.0 if u[i, j] < 0 else 1.0
-    u = u * flip
-    v = v * flip
+    u, v = fix_signs(u, vt.T)
     return u, sigma, v
+
+
+def fix_signs(u, v):
+    """Flip singular-vector pairs so that in each column of u the entry of
+    largest magnitude (lowest index on ties) is nonnegative."""
+    dominant = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    flip = np.where(dominant < 0, -1.0, 1.0)
+    return u * flip, v * flip

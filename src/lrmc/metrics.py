@@ -118,8 +118,11 @@ def gl_align(f, target):
         pass
     for cand in extra:
         candidates.append((_gl_value_grad(cand, x, y, x_t, y_t)[0], cand))
-    val, q = min(((v, c) for v, c in candidates if np.isfinite(v)),
-                 key=lambda vc: vc[0])
+    candidates = [(v, c) for v, c in candidates if np.isfinite(v)]
+    if not candidates:
+        raise AlignmentDegenerateError(
+            "no alignment candidate has a finite residual")
+    val, q = min(candidates, key=lambda vc: vc[0])
     converged = bool(res.success) and np.isfinite(val)
     if np.linalg.svd(q, compute_uv=False)[-1] <= 1e-8:
         converged = False

@@ -17,7 +17,6 @@ __all__ = [
     "LooSelector",
     "sample_mask",
     "project",
-    "scaled_residual",
     "loo_project",
     "save_mask",
     "load_mask",
@@ -44,6 +43,7 @@ class ObservationMask:
 
     @classmethod
     def from_cells(cls, d1, d2, p, rows, cols, seed=None):
+        _check_rate(p)
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         if rows.shape != cols.shape:
@@ -114,13 +114,17 @@ def sample_mask(d1, d2, p, seed):
     stream keyed by `seed`, so the mask is reproducible and independent of
     evaluation order.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"sampling rate p={p} outside (0, 1]")
+    _check_rate(p)
     rng = Generator(Philox(key=np.uint64(seed)))
     u = rng.random(d1 * d2)
     flat = np.nonzero(u < p)[0]
     return ObservationMask.from_cells(d1, d2, p, flat // d2, flat % d2,
                                       seed=int(seed))
+
+
+def _check_rate(p):
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"sampling rate p={p} outside (0, 1]")
 
 
 def _check_dims(m, mask):
@@ -135,22 +139,6 @@ def project(m, mask):
     _check_dims(m, mask)
     out = np.zeros_like(m)
     out[mask.rows, mask.cols] = m[mask.rows, mask.cols]
-    return out
-
-
-def scaled_residual(f, m_star, mask):
-    """(1/p) * P_Omega(X @ Y.T - M*), evaluated only at observed cells."""
-    x = np.asarray(f.x, dtype=np.float64)
-    y = np.asarray(f.y, dtype=np.float64)
-    m_star = np.asarray(m_star, dtype=np.float64)
-    _check_dims(m_star, mask)
-    if x.shape[0] != mask.d1 or y.shape[0] != mask.d2:
-        raise ValueError("factor shapes do not match mask dims")
-    vals = np.einsum("ij,ij->i", x[mask.rows], y[mask.cols])
-    vals -= m_star[mask.rows, mask.cols]
-    vals /= mask.p
-    out = np.zeros((mask.d1, mask.d2))
-    out[mask.rows, mask.cols] = vals
     return out
 
 

@@ -16,10 +16,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf
+from scipy.sparse import csr_array
 
 from .linalg import frobenius_norm
-from .metrics import (AlignmentDegenerateError, balancing_norm, dist,
-                      relative_error)
+from .metrics import AlignmentDegenerateError, balancing_norm, dist
 from .model import FactorPair
 from .sampling import LooSelector
 
@@ -106,89 +107,131 @@ class RunResult:
     factors: list | None = None  # recorded iterates when requested
 
 
-def _residual_cells(f, gt, mask):
-    """Raw residual values (X Y.T - M*) at the observed cells."""
-    vals = np.einsum("ij,ij->i", f.x[mask.rows], f.y[mask.cols])
-    vals -= gt.m_star[mask.rows, mask.cols]
-    return vals
+class _Problem:
+    """The problem (gt, mask, variant) bound once, evaluated per iterate.
 
+    One evaluation of an iterate computes the residual X Y.T - M* at the
+    observed cells and writes it, scaled by 1/p, in place into the data of
+    a CSR matrix S over the mask; objective and gradient both read it, and
+    the data gradient is (S Y, S.T X) at O(|cells| r). The leave-one-out
+    data term keeps the raw residual on the observed cells of its line and
+    adds the line's unobserved cells as a separate correction, so with a
+    fully observed mask it is the balancing data term bitwise.
 
-def _scatter(mask, vals):
-    out = np.zeros((mask.d1, mask.d2))
-    out[mask.rows, mask.cols] = vals
-    return out
-
-
-def _loo_residual_matrix(f, gt, mask, sel):
-    """(1/p) P_{Omega minus line} (R) + P_{line}(R), as a dense matrix.
-
-    Observed cells on the selected line are rescaled in place (so the full
-    mask p=1 case reproduces the plain residual matrix bitwise); unobserved
-    line cells are filled in directly.
+    The relative error never forms X Y.T: with A = [X, -U* S*] and
+    B = [Y, V*], X Y.T - M* = A B.T, and ||A B.T||_F = ||B R_A.T||_F for
+    the triangular factor R_A of a QR of A, at O((d1+d2) r^2).
     """
-    e = _scatter(mask, _residual_cells(f, gt, mask) / mask.p)
-    t = sel.index(mask.d1)
-    if sel.axis(mask.d1) == "row":
-        obs = mask.row_cells(t)
-        e[t, obs] *= mask.p
-        unobs = np.setdiff1d(np.arange(mask.d2), obs, assume_unique=True)
-        if unobs.size:
-            e[t, unobs] = f.x[t] @ f.y[unobs].T - gt.m_star[t, unobs]
-    else:
-        obs = mask.col_cells(t)
-        e[obs, t] *= mask.p
-        unobs = np.setdiff1d(np.arange(mask.d1), obs)
-        if unobs.size:
-            e[unobs, t] = f.x[unobs] @ f.y[t] - gt.m_star[unobs, t]
-    return e
+
+    def __init__(self, gt, mask, variant):
+        if variant.tag not in ("vanilla", "regularized", "balancing",
+                               "leave_one_out"):
+            raise ValueError(f"unknown variant {variant.tag!r}")
+        self.p = mask.p
+        self.rows, self.cols = mask.rows, mask.cols
+        self.m_obs = gt.m_star[mask.rows, mask.cols]
+        self.s = csr_array((np.zeros(mask.n_cells), mask.cols, mask.row_ptr),
+                           shape=(mask.d1, mask.d2))
+        self.st = self.s.T  # shares self.s.data
+        self.m_norm = frobenius_norm(gt.m_star)
+        if self.m_norm == 0.0:
+            raise ValueError("m_star is zero; relative error undefined")
+        self.a_star = -(gt.u_star * gt.sigma_star)
+        self.b_star = gt.v_star
+        self.lam = variant.lam if variant.tag == "regularized" else None
+        self.balanced = variant.tag in ("balancing", "leave_one_out")
+        self.line = None
+        if variant.tag == "leave_one_out":
+            sel = variant.sel
+            sel.validate(mask.d1, mask.d2)
+            t = sel.index(mask.d1)
+            self.on_row = sel.axis(mask.d1) == "row"
+            if self.on_row:
+                self.line = np.arange(mask.row_ptr[t], mask.row_ptr[t + 1])
+                self.unobs = np.setdiff1d(np.arange(mask.d2),
+                                          mask.row_cells(t))
+                self.m_unobs = gt.m_star[t, self.unobs]
+            else:
+                self.line = mask.col_order[mask.col_ptr[t]:mask.col_ptr[t + 1]]
+                self.unobs = np.setdiff1d(np.arange(mask.d1),
+                                          mask.col_cells(t))
+                self.m_unobs = gt.m_star[self.unobs, t]
+            self.t = t
+        self.f = None
+
+    def _load(self, f):
+        """Evaluate the residual at f, unless f is the iterate last loaded."""
+        if f is self.f:
+            return
+        vals = np.einsum("ij,ij->i", f.x.take(self.rows, 0),
+                         f.y.take(self.cols, 0))
+        vals -= self.m_obs
+        np.divide(vals, self.p, out=self.s.data)
+        if self.line is not None:
+            self.s.data[self.line] = vals[self.line]
+            if self.on_row:
+                self.corr = f.y[self.unobs] @ f.x[self.t] - self.m_unobs
+            else:
+                self.corr = f.x[self.unobs] @ f.y[self.t] - self.m_unobs
+        self.f, self.vals = f, vals
+
+    def relative_error(self, f):
+        a = np.empty((f.x.shape[0], f.r + self.a_star.shape[1]), order="F")
+        a[:, :f.r] = f.x
+        a[:, f.r:] = self.a_star
+        r_a = np.triu(dgeqrf(a, overwrite_a=True)[0][:min(a.shape)])
+        b = np.hstack((f.y, self.b_star))
+        return frobenius_norm(b @ r_a.T) / self.m_norm
+
+    def objective(self, f):
+        self._load(f)
+        p = self.p
+        if self.line is None:
+            val = float(self.vals @ self.vals) / (2.0 * p)
+        else:
+            # Off-line cells carry R/p (objective share R^2/2p per cell),
+            # the selected line carries R itself (share R^2/2 per cell).
+            data, on = self.s.data, self.vals[self.line]
+            val = 0.5 * (p * float(data @ data) + (1.0 - p) * float(on @ on)
+                         + float(self.corr @ self.corr))
+        if self.lam is not None:
+            val += 0.5 * self.lam * (float(np.sum(f.x * f.x))
+                                     + float(np.sum(f.y * f.y)))
+        if self.balanced:
+            val += 0.125 * balancing_norm(f) ** 2
+        return val
+
+    def gradient(self, f):
+        self._load(f)
+        gx = self.s @ f.y
+        gy = self.st @ f.x
+        if self.line is not None and self.unobs.size:
+            if self.on_row:
+                gx[self.t] += self.corr @ f.y[self.unobs]
+                gy[self.unobs] += np.outer(self.corr, f.x[self.t])
+            else:
+                gx[self.unobs] += np.outer(self.corr, f.y[self.t])
+                gy[self.t] += self.corr @ f.x[self.unobs]
+        if self.lam is not None:
+            gx += self.lam * f.x
+            gy += self.lam * f.y
+        if self.balanced:
+            b = f.x.T @ f.x - f.y.T @ f.y
+            gx += 0.5 * f.x @ b
+            gy -= 0.5 * f.y @ b
+        return FactorPair(gx, gy)
 
 
 def objective(f, gt, mask, variant):
     """Evaluate the selected objective at the factor pair f."""
     _check_shapes(f, gt, mask)
-    p = mask.p
-    if variant.tag == "leave_one_out":
-        variant.sel.validate(mask.d1, mask.d2)
-        g = _loo_residual_matrix(f, gt, mask, variant.sel)
-        # Off-line cells of g carry R/p (objective share R^2/2p per cell),
-        # the selected line carries R itself (share R^2/2 per cell).
-        t = variant.sel.index(mask.d1)
-        line = g[t, :] if variant.sel.axis(mask.d1) == "row" else g[:, t]
-        val = 0.5 * (p * float(np.sum(g * g))
-                     + (1.0 - p) * float(np.sum(line * line)))
-        return val + 0.125 * balancing_norm(f) ** 2
-    vals = _residual_cells(f, gt, mask)
-    val = float(vals @ vals) / (2.0 * p)
-    if variant.tag == "vanilla":
-        return val
-    if variant.tag == "regularized":
-        return val + 0.5 * variant.lam * (
-            float(np.sum(f.x * f.x)) + float(np.sum(f.y * f.y)))
-    if variant.tag == "balancing":
-        return val + 0.125 * balancing_norm(f) ** 2
-    raise ValueError(f"unknown variant {variant.tag!r}")
+    return _Problem(gt, mask, variant).objective(f)
 
 
 def gradient(f, gt, mask, variant):
     """Gradient of the selected objective, as a FactorPair."""
     _check_shapes(f, gt, mask)
-    if variant.tag == "leave_one_out":
-        variant.sel.validate(mask.d1, mask.d2)
-        g = _loo_residual_matrix(f, gt, mask, variant.sel)
-        b = f.x.T @ f.x - f.y.T @ f.y
-        return FactorPair(g @ f.y + 0.5 * f.x @ b,
-                          g.T @ f.x - 0.5 * f.y @ b)
-    g = _scatter(mask, _residual_cells(f, gt, mask) / mask.p)
-    gx = g @ f.y
-    gy = g.T @ f.x
-    if variant.tag == "vanilla":
-        return FactorPair(gx, gy)
-    if variant.tag == "regularized":
-        return FactorPair(gx + variant.lam * f.x, gy + variant.lam * f.y)
-    if variant.tag == "balancing":
-        b = f.x.T @ f.x - f.y.T @ f.y
-        return FactorPair(gx + 0.5 * f.x @ b, gy - 0.5 * f.y @ b)
-    raise ValueError(f"unknown variant {variant.tag!r}")
+    return _Problem(gt, mask, variant).gradient(f)
 
 
 def step(f, g, s):
@@ -220,6 +263,7 @@ def run(gt, mask, config, init):
             f"r(d1+d2)={init.r * (gt.d1 + gt.d2)}; proceeding",
             stacklevel=2)
 
+    problem = _Problem(gt, mask, config.variant)
     f_star = gt.optimal_pair()
     trace = IterateTrace()
     factors = [] if config.store_factors else None
@@ -244,9 +288,9 @@ def run(gt, mask, config, init):
             factors.append(f)
 
     for k in range(config.max_iters + 1):
-        rel = relative_error(f, gt.m_star)
+        rel = problem.relative_error(f)
         if k % config.record_every == 0 or k == config.max_iters:
-            record(k, rel, objective(f, gt, mask, config.variant))
+            record(k, rel, problem.objective(f))
         if not np.isfinite(rel) or rel > DIVERGENCE_REL_ERR:
             status, iterations = "diverged", k
             break
@@ -255,12 +299,11 @@ def run(gt, mask, config, init):
             break
         if k == config.max_iters:
             break
-        f = step(f, gradient(f, gt, mask, config.variant), config.step)
+        f = step(f, problem.gradient(f), config.step)
 
     # Make sure the terminal iterate is always on the trace.
     if trace.k[-1] != min(iterations, config.max_iters):
         record(min(iterations, config.max_iters),
-               relative_error(f, gt.m_star),
-               objective(f, gt, mask, config.variant))
+               problem.relative_error(f), problem.objective(f))
     return RunResult(final=f, trace=trace, status=status,
                      iterations=iterations, factors=factors)

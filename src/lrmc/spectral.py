@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .linalg import full_svd
+from .linalg import fix_signs, full_svd
 from .model import FactorPair
 from .sampling import loo_project, project
 
@@ -52,13 +52,8 @@ def _randomized_svd(m, r, seed):
         q, _ = np.linalg.qr(m @ q)
     b = q.T @ m
     ub, s, v = full_svd(b)
-    u = q @ ub
     # Re-apply the sign convention on the full-height left vectors.
-    for j in range(u.shape[1]):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
+    u, v = fix_signs(q @ ub, v)
     return TruncatedSvd(u[:, :r].copy(), s[:r].copy(), v[:, :r].copy())
 
 

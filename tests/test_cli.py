@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from lrmc import experiments
 from lrmc.cli import main, parse_args
 
 SMALL = ["--d1", "30", "--d2", "24", "--r", "2", "--p", "0.6",
@@ -71,6 +72,33 @@ def test_converge_end_to_end(tmp_path):
     assert rel[-1] < rel[0]
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["aggregates"]["diverged_algorithms"] == []
+
+
+def test_converge_huge_step_records_divergence(tmp_path):
+    code = main(["converge", "--d1", "30", "--d2", "20", "--r", "2",
+                 "--p", "0.5", "--trials", "1", "--algs", "VGD",
+                 "--s", "1e200", "--out", str(tmp_path)])
+    assert code == 1
+    with open(tmp_path / "convergence.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["k"] for r in rows] == ["0", "1"]
+    assert not float(rows[-1]["rel_err"]) <= 1e6
+    assert rows[-1]["dist"] == "nan"
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["aggregates"]["diverged_algorithms"] == ["VGD"]
+
+
+def test_converge_flags_nan_rows_as_diverged(tmp_path, monkeypatch):
+    def nan_rows(spec, csv_path=None):
+        return [{"algorithm": "VGD", "rel_err": "0.5"},
+                {"algorithm": "VGD", "rel_err": "nan"},
+                {"algorithm": "BGD", "rel_err": "1e-15"}]
+
+    monkeypatch.setattr(experiments, "run_convergence", nan_rows)
+    code = main(["converge", *SMALL, "--out", str(tmp_path)])
+    assert code == 1
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["aggregates"]["diverged_algorithms"] == ["VGD"]
 
 
 def test_phase_end_to_end(tmp_path):

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lrmc.linalg import frobenius_norm, full_svd, spectral_norm, two_inf_norm
+from lrmc.linalg import (fix_signs, frobenius_norm, full_svd, spectral_norm,
+                         two_inf_norm)
 
 finite_matrices = arrays(
     np.float64, st.tuples(st.integers(1, 8), st.integers(1, 8)),
@@ -79,6 +80,31 @@ def test_full_svd_sign_convention_and_determinism():
     for j in range(u1.shape[1]):
         i = np.argmax(np.abs(u1[:, j]))
         assert u1[i, j] >= 0
+
+
+def _loop_sign_rule(u, v):
+    # Reference: the per-column loop the sign rule was written as.
+    u, v = u.copy(), v.copy()
+    for j in range(u.shape[1]):
+        i = int(np.argmax(np.abs(u[:, j])))
+        if u[i, j] < 0:
+            u[:, j] = -u[:, j]
+            v[:, j] = -v[:, j]
+    return u, v
+
+
+def test_fix_signs_matches_loop_bitwise():
+    rng = np.random.default_rng(6)
+    for shape in ((7, 5), (30, 3), (4, 4)):
+        u = rng.standard_normal(shape)
+        u[0, 0] = -np.max(np.abs(u[:, 0])) - 1.0  # force one flip
+        u[:2, -1] = [2.0, -2.0]  # tie: the lower index decides
+        u[2:, -1] = 0.5
+        v = rng.standard_normal((shape[1] + 2, shape[1]))
+        got_u, got_v = fix_signs(u, v)
+        ref_u, ref_v = _loop_sign_rule(u, v)
+        assert got_u.tobytes() == ref_u.tobytes()
+        assert got_v.tobytes() == ref_v.tobytes()
 
 
 @settings(max_examples=50, deadline=None)

@@ -86,6 +86,17 @@ def test_gl_align_rank_deficient_raises():
         gl_align(f, target)
 
 
+def test_gl_align_nonfinite_factors_raise_degenerate():
+    # Factors an overflowing step produces: every alignment candidate has
+    # a non-finite residual, so dist must report nan rather than fail.
+    gt = gen_ground_truth(10, 8, 2, 1.0, seed=3)
+    rng = np.random.default_rng(4)
+    f = FactorPair(1e200 * rng.standard_normal((10, 2)),
+                   1e200 * rng.standard_normal((8, 2)))
+    with np.errstate(all="ignore"), pytest.raises(AlignmentDegenerateError):
+        gl_align(f, gt.optimal_pair())
+
+
 def test_rank_mismatch_raises():
     f = FactorPair(np.ones((4, 2)), np.ones((3, 2)))
     t = FactorPair(np.ones((4, 3)), np.ones((3, 3)))

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from lrmc.model import FactorPair
 from lrmc.sampling import (LooSelector, ObservationMask, load_mask,
-                           loo_project, project, sample_mask, save_mask,
-                           scaled_residual)
+                           loo_project, project, sample_mask, save_mask)
 
 
 def test_sample_mask_full():
@@ -46,6 +44,20 @@ def test_from_cells_validation():
         ObservationMask.from_cells(3, 3, 0.5, [0], [0, 1])  # length mismatch
 
 
+@pytest.mark.parametrize("p", [0.0, -0.2, 1.7, float("nan")])
+def test_from_cells_rejects_bad_rate(p):
+    with pytest.raises(ValueError, match="sampling rate"):
+        ObservationMask.from_cells(3, 3, p, [0], [1])
+
+
+def test_load_mask_rejects_bad_rate(tmp_path):
+    for p in ("0", "1.7"):
+        path = tmp_path / f"mask_{p}.txt"
+        path.write_text(f"3 2 {p} -\n0 1\n")
+        with pytest.raises(ValueError, match="sampling rate"):
+            load_mask(path)
+
+
 def test_row_and_col_access_match_dense():
     mask = sample_mask(15, 11, 0.35, seed=3)
     dense = mask.dense()
@@ -79,16 +91,6 @@ def test_project_shape_mismatch():
     mask = sample_mask(4, 4, 0.5, seed=0)
     with pytest.raises(ValueError):
         project(np.zeros((4, 5)), mask)
-
-
-def test_scaled_residual_matches_dense_oracle():
-    rng = np.random.default_rng(2)
-    mask = sample_mask(14, 10, 0.3, seed=4)
-    f = FactorPair(rng.standard_normal((14, 3)), rng.standard_normal((10, 3)))
-    m_star = rng.standard_normal((14, 10))
-    expected = (f.product() - m_star) * mask.dense() / mask.p
-    assert np.allclose(scaled_residual(f, m_star, mask), expected,
-                       atol=1e-13)
 
 
 def test_loo_selector_boundaries():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from lrmc.experiments import gen_ground_truth
+from lrmc.metrics import balancing_norm, relative_error
 from lrmc.model import FactorPair
-from lrmc.sampling import LooSelector, sample_mask
+from lrmc.sampling import LooSelector, ObservationMask, sample_mask
 from lrmc.solvers import (SolverConfig, SolverVariant, gradient, objective,
                           run, step)
 from lrmc.spectral import spectral_init
@@ -44,6 +45,143 @@ def _fd_gradient(f, gt, mask, variant, h=1e-6):
         g[i] = (value(theta + e) - value(theta - e)) / (2.0 * e[i])
     return FactorPair(g[:f.x.size].reshape(f.x.shape),
                       g[f.x.size:].reshape(f.y.shape))
+
+
+# Dense reference for the solver's residual operator: the residual is
+# scattered into a d1 x d2 matrix and multiplied densely.
+
+def _residual_cells(f, gt, mask):
+    vals = np.einsum("ij,ij->i", f.x[mask.rows], f.y[mask.cols])
+    return vals - gt.m_star[mask.rows, mask.cols]
+
+
+def _scatter(mask, vals):
+    out = np.zeros((mask.d1, mask.d2))
+    out[mask.rows, mask.cols] = vals
+    return out
+
+
+def _loo_residual_matrix(f, gt, mask, sel):
+    """(1/p) P_{Omega minus line}(R) + P_{line}(R), as a dense matrix."""
+    e = _scatter(mask, _residual_cells(f, gt, mask) / mask.p)
+    t = sel.index(mask.d1)
+    if sel.axis(mask.d1) == "row":
+        obs = mask.row_cells(t)
+        e[t, obs] *= mask.p
+        unobs = np.setdiff1d(np.arange(mask.d2), obs, assume_unique=True)
+        if unobs.size:
+            e[t, unobs] = f.x[t] @ f.y[unobs].T - gt.m_star[t, unobs]
+    else:
+        obs = mask.col_cells(t)
+        e[obs, t] *= mask.p
+        unobs = np.setdiff1d(np.arange(mask.d1), obs)
+        if unobs.size:
+            e[unobs, t] = f.x[unobs] @ f.y[t] - gt.m_star[unobs, t]
+    return e
+
+
+def _dense_objective(f, gt, mask, variant):
+    p = mask.p
+    if variant.tag == "leave_one_out":
+        g = _loo_residual_matrix(f, gt, mask, variant.sel)
+        t = variant.sel.index(mask.d1)
+        line = g[t, :] if variant.sel.axis(mask.d1) == "row" else g[:, t]
+        val = 0.5 * (p * np.sum(g * g) + (1.0 - p) * np.sum(line * line))
+        return val + 0.125 * balancing_norm(f) ** 2
+    vals = _residual_cells(f, gt, mask)
+    val = vals @ vals / (2.0 * p)
+    if variant.tag == "regularized":
+        val += 0.5 * variant.lam * (np.sum(f.x * f.x) + np.sum(f.y * f.y))
+    if variant.tag == "balancing":
+        val += 0.125 * balancing_norm(f) ** 2
+    return val
+
+
+def _dense_gradient(f, gt, mask, variant):
+    if variant.tag == "leave_one_out":
+        g = _loo_residual_matrix(f, gt, mask, variant.sel)
+    else:
+        g = _scatter(mask, _residual_cells(f, gt, mask) / mask.p)
+    gx, gy = g @ f.y, g.T @ f.x
+    if variant.tag == "regularized":
+        gx, gy = gx + variant.lam * f.x, gy + variant.lam * f.y
+    if variant.tag in ("balancing", "leave_one_out"):
+        b = f.x.T @ f.x - f.y.T @ f.y
+        gx, gy = gx + 0.5 * f.x @ b, gy - 0.5 * f.y @ b
+    return FactorPair(gx, gy)
+
+
+def _mask_with_empty_lines():
+    """A 10 x 8 mask whose row 3 and column 5 have no observed cell."""
+    full = sample_mask(10, 8, 0.6, seed=1).dense()
+    full[3, :] = False
+    full[:, 5] = False
+    rows, cols = np.nonzero(full)
+    return ObservationMask.from_cells(10, 8, 0.6, rows, cols)
+
+
+ORACLE_MASKS = {
+    "bernoulli": lambda: sample_mask(10, 8, 0.6, seed=1),
+    "empty_lines": _mask_with_empty_lines,
+    "full": lambda: sample_mask(10, 8, 1.0, seed=2),
+}
+
+# Selectors 4 and 16 hit the empty row 3 and the empty column 5.
+ORACLE_VARIANTS = VARIANTS + [SolverVariant.leave_one_out(4),
+                              SolverVariant.leave_one_out(16)]
+
+
+@pytest.mark.parametrize("mask_name", sorted(ORACLE_MASKS))
+@pytest.mark.parametrize(
+    "variant", ORACLE_VARIANTS,
+    ids=lambda v: v.tag + str(v.sel.l if v.sel else ""))
+def test_operator_matches_dense_oracle(mask_name, variant):
+    gt = gen_ground_truth(10, 8, 2, 2.0, seed=0)
+    mask = ORACLE_MASKS[mask_name]()
+    rng = np.random.default_rng(15)
+    for _ in range(3):
+        f = _random_pair(rng, 10, 8, 2)
+        assert objective(f, gt, mask, variant) == pytest.approx(
+            _dense_objective(f, gt, mask, variant), rel=1e-12)
+        g = gradient(f, gt, mask, variant)
+        ref = _dense_gradient(f, gt, mask, variant)
+        assert np.allclose(g.x, ref.x, rtol=1e-12, atol=1e-12)
+        assert np.allclose(g.y, ref.y, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "variant", [SolverVariant.vanilla(), SolverVariant.leave_one_out(3),
+                SolverVariant.leave_one_out(14)],
+    ids=lambda v: v.tag + str(v.sel.l if v.sel else ""))
+def test_run_steps_match_dense_oracle(variant):
+    # Every step of a run, where the operator is reused across iterates,
+    # must be the dense-oracle descent step from the recorded iterate.
+    gt = gen_ground_truth(12, 9, 2, 2.0, seed=16)
+    mask = sample_mask(12, 9, 0.5, seed=17)
+    init = spectral_init(gt, mask, 2)
+    cfg = SolverConfig(variant=variant, step=0.5, max_iters=15, tol=1e-30,
+                       store_factors=True)
+    res = run(gt, mask, cfg, init)
+    assert len(res.factors) == 16
+    for f, nxt in zip(res.factors, res.factors[1:]):
+        expected = step(f, _dense_gradient(f, gt, mask, variant), 0.5)
+        assert np.allclose(nxt.x, expected.x, rtol=1e-12, atol=1e-14)
+        assert np.allclose(nxt.y, expected.y, rtol=1e-12, atol=1e-14)
+
+
+def test_run_relative_error_matches_dense_at_converged_iterates():
+    gt = gen_ground_truth(60, 40, 3, 2.0, seed=18)
+    mask = sample_mask(60, 40, 0.4, seed=19)
+    init = spectral_init(gt, mask, 3)
+    cfg = SolverConfig(variant=SolverVariant.vanilla(), step=0.5,
+                       tol=1e-14, store_factors=True)
+    res = run(gt, mask, cfg, init)
+    assert res.status == "converged"
+    pairs = [(rel, relative_error(f, gt.m_star))
+             for rel, f in zip(res.trace.relative_error, res.factors)
+             if rel < 1e-10]
+    assert len(pairs) > 10
+    assert max(abs(a - b) for a, b in pairs) <= 1e-16
 
 
 def test_objective_at_optimum(instance):
@@ -135,6 +273,18 @@ def test_run_diverges_with_huge_step(instance):
                        max_iters=200)
     res = run(gt, mask, cfg, init)
     assert res.status == "diverged"
+
+
+def test_run_overflowing_step_ends_diverged(instance):
+    gt, mask = instance
+    init = spectral_init(gt, mask, gt.r)
+    cfg = SolverConfig(variant=SolverVariant.vanilla(), step=1e200,
+                       max_iters=50, compute_dist=True)
+    with np.errstate(all="ignore"):
+        res = run(gt, mask, cfg, init)
+    assert res.status == "diverged" and res.iterations == 1
+    assert not res.trace.relative_error[-1] <= 1e6
+    assert np.isnan(res.trace.dist_to_truth[-1])
 
 
 def test_run_objective_monotone(instance):
