@@ -2,7 +2,7 @@
 completion, with spectral initialization, alignment metrics, experiment
 harnesses, and numeric checks of the convergence theory."""
 
-from .linalg import frobenius_norm, full_svd, spectral_norm, two_inf_norm
+from .linalg import frobenius_norm, full_svd, spectral_norm
 from .metrics import (balancing_norm, dist, gl_align, incoherence,
                       procrustes_align, relative_error)
 from .model import FactorPair, GroundTruth

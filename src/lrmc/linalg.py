@@ -7,17 +7,11 @@ and deterministic.
 import numpy as np
 
 __all__ = [
-    "DecompositionError",
     "frobenius_norm",
     "spectral_norm",
-    "two_inf_norm",
     "full_svd",
     "fix_signs",
 ]
-
-
-class DecompositionError(Exception):
-    """Raised when a factorization fails to converge."""
 
 
 def frobenius_norm(m):
@@ -26,43 +20,9 @@ def frobenius_norm(m):
     return float(np.sqrt(np.sum(m * m)))
 
 
-def spectral_norm(m, tol=1e-10, max_iters=10000):
-    """Largest singular value, via power iteration on m.T @ m.
-
-    Converges to relative tolerance `tol` on the singular value. The start
-    vector is deterministic, so repeated calls agree bitwise.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.size == 0 or not np.any(m):
-        return 0.0
-    n = m.shape[1]
-    # Deterministic start with decaying components so it is (generically)
-    # not orthogonal to the leading singular subspace.
-    v = 1.0 / np.sqrt(1.0 + np.arange(n))
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iters):
-        w = m.T @ (m @ v)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            # Start vector lies in the null space; restart shifted.
-            v = np.roll(v, 1) + 1e-3
-            v /= np.linalg.norm(v)
-            continue
-        sigma_new = np.sqrt(norm_w)
-        v = w / norm_w
-        if abs(sigma_new - sigma) <= tol * max(sigma_new, 1e-300):
-            return float(sigma_new)
-        sigma = sigma_new
-    return float(sigma)
-
-
-def two_inf_norm(m):
-    """Largest Euclidean norm over the rows of m."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.size == 0:
-        return 0.0
-    return float(np.max(np.sqrt(np.sum(m * m, axis=1))))
+def spectral_norm(m):
+    """Largest singular value."""
+    return float(np.linalg.norm(np.asarray(m, dtype=np.float64), 2))
 
 
 def full_svd(m):
@@ -71,13 +31,11 @@ def full_svd(m):
     Returns (u, sigma, v) with m = u @ diag(sigma) @ v.T, sigma nonnegative
     and descending, and u, v with orthonormal columns. In each left singular
     vector the entry of largest magnitude (lowest index on ties) is made
-    nonnegative, so factors are reproducible across platforms.
+    nonnegative, so factors are reproducible across platforms. Raises
+    np.linalg.LinAlgError, a ValueError, when the SVD does not converge.
     """
     m = np.asarray(m, dtype=np.float64)
-    try:
-        u, sigma, vt = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"SVD did not converge: {exc}") from exc
+    u, sigma, vt = np.linalg.svd(m, full_matrices=False)
     u, v = fix_signs(u, vt.T)
     return u, sigma, v
 

@@ -2,9 +2,9 @@
 
 Two alignments are exposed: the orthogonal (Procrustes) rotation and the
 best invertible alignment over GL(r) that also absorbs diagonal
-rescalings between the factors. `dist` reports the smaller of the two
-aligned residuals, an upper bound on the infimum over GL(r) that is tight
-in practice.
+rescalings between the factors. `dist` reports the GL residual, which
+never exceeds the Procrustes one: an upper bound on the infimum over
+GL(r) that is tight in practice.
 """
 
 from dataclasses import dataclass
@@ -75,11 +75,15 @@ def _gl_value_grad(q, x, y, x_t, y_t):
     return val, grad
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gl_align(f, target):
     """Approximately minimize ||XQ - X*||^2 + ||Y Q^-T - Y*||^2 over GL(r).
 
     A quasi-Newton refinement starting from the Procrustes rotation; the
-    result never exceeds the Procrustes residual (beyond roundoff).
+    Procrustes rotation is one of the candidates, so the result never
+    exceeds the Procrustes residual. Overflow on diverged factors is not
+    reported as a warning: it makes a candidate non-finite, and a pair with
+    no finite candidate raises AlignmentDegenerateError.
     """
     if f.r != target.r:
         raise ValueError("rank mismatch between factor pairs")
@@ -103,12 +107,18 @@ def gl_align(f, target):
     res = minimize(fun, q0.ravel(), jac=True, method="L-BFGS-B",
                    options={"maxiter": GL_MAX_ITERS, "ftol": 1e-18,
                             "gtol": 1e-14})
+
+    def gl_residual(q):
+        return float(np.sqrt(max(_gl_value_grad(q, x, y, x_t, y_t)[0], 0.0)))
+
+    # Candidates are compared by residual, with the Procrustes one as
+    # computed rather than squared and rooted again, so that the result is
+    # exactly at most the Procrustes residual.
     q = res.x.reshape(r, r)
-    val = _gl_value_grad(q, x, y, x_t, y_t)[0]
+    candidates = [(gl_residual(q), q), (pro.residual, q0)]
     # When X Y.T matches the target product, the optimum solves either
     # one-sided least-squares problem exactly; those closed forms reach a
     # far lower floor than the iterative refinement, so try them too.
-    candidates = [(val, q), (pro.residual ** 2, q0)]
     qx = np.linalg.lstsq(x, x_t, rcond=None)[0]
     qy = np.linalg.lstsq(y, y_t, rcond=None)[0]
     extra = [qx]
@@ -116,26 +126,21 @@ def gl_align(f, target):
         extra.append(np.linalg.inv(qy).T)
     except np.linalg.LinAlgError:
         pass
-    for cand in extra:
-        candidates.append((_gl_value_grad(cand, x, y, x_t, y_t)[0], cand))
+    candidates += [(gl_residual(cand), cand) for cand in extra]
     candidates = [(v, c) for v, c in candidates if np.isfinite(v)]
     if not candidates:
         raise AlignmentDegenerateError(
             "no alignment candidate has a finite residual")
-    val, q = min(candidates, key=lambda vc: vc[0])
-    converged = bool(res.success) and np.isfinite(val)
+    residual, q = min(candidates, key=lambda vc: vc[0])
+    converged = bool(res.success)
     if np.linalg.svd(q, compute_uv=False)[-1] <= 1e-8:
         converged = False
-    return AlignmentResult(matrix=q, residual=float(np.sqrt(max(val, 0.0))),
-                           converged=converged)
+    return AlignmentResult(matrix=q, residual=residual, converged=converged)
 
 
 def dist(f, target):
-    """Aligned distance between factor pairs: the better of the GL and
-    Procrustes residuals."""
-    gl = gl_align(f, target)
-    pro = procrustes_align(f, target)
-    return min(gl.residual, pro.residual)
+    """Aligned distance between factor pairs: the GL-aligned residual."""
+    return gl_align(f, target).residual
 
 
 def balancing_norm(f):

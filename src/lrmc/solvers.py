@@ -5,10 +5,12 @@ Four problem variants share one loop: the plain least-squares objective
 norm-imbalance penalty ("balancing"), and the leave-one-out problem where
 one row or column is treated as fully observed.
 
-The leave-one-out gradient uses the operator (1/p) P_{Omega minus line} +
-P_{line}; its data term is written as the matching quadratic form
-(1/2p) <loo_project(R), R> so that objective and gradient stay consistent
-(finite differences of the objective reproduce the gradient).
+All four share one data term, a weighted least-squares sum over a set of
+cells: (1/2) sum_c R_c^2 / w_c with R = X Y.T - M*. The first three use
+the observed cells with w_c = p. Leave-one-out uses the observed cells
+together with its whole line, with w_c = 1 on the line and p elsewhere,
+which is the operator (1/p) P_{Omega minus line} + P_{line}. The ridge and
+imbalance penalties are added to that data term.
 """
 
 import time
@@ -22,7 +24,7 @@ from scipy.sparse import csr_array
 from .linalg import frobenius_norm
 from .metrics import AlignmentDegenerateError, balancing_norm, dist
 from .model import FactorPair
-from .sampling import LooSelector
+from .sampling import LooSelector, ObservationMask
 
 __all__ = [
     "SolverVariant",
@@ -110,13 +112,14 @@ class RunResult:
 class _Problem:
     """The problem (gt, mask, variant) bound once, evaluated per iterate.
 
-    One evaluation of an iterate computes the residual X Y.T - M* at the
-    observed cells and writes it, scaled by 1/p, in place into the data of
-    a CSR matrix S over the mask; objective and gradient both read it, and
-    the data gradient is (S Y, S.T X) at O(|cells| r). The leave-one-out
-    data term keeps the raw residual on the observed cells of its line and
-    adds the line's unobserved cells as a separate correction, so with a
-    fully observed mask it is the balancing data term bitwise.
+    The variant's cells and per-cell divisors are fixed at bind time (see
+    the module docstring). One evaluation of an iterate computes the
+    residual X Y.T - M* at those cells and writes it, divided by the
+    divisors, in place into the data of a CSR matrix S over the cells;
+    objective and gradient both read it, and the data gradient is
+    (S Y, S.T X) at O(|cells| r). With a fully observed mask the
+    leave-one-out cells are the mask's and every divisor is 1, so it is
+    the balancing problem bitwise.
 
     The relative error never forms X Y.T: with A = [X, -U* S*] and
     B = [Y, V*], X Y.T - M* = A B.T, and ||A B.T||_F = ||B R_A.T||_F for
@@ -127,7 +130,9 @@ class _Problem:
         if variant.tag not in ("vanilla", "regularized", "balancing",
                                "leave_one_out"):
             raise ValueError(f"unknown variant {variant.tag!r}")
-        self.p = mask.p
+        self.div = mask.p
+        if variant.tag == "leave_one_out":
+            mask, self.div = _loo_cells(mask, variant.sel)
         self.rows, self.cols = mask.rows, mask.cols
         self.m_obs = gt.m_star[mask.rows, mask.cols]
         self.s = csr_array((np.zeros(mask.n_cells), mask.cols, mask.row_ptr),
@@ -140,23 +145,6 @@ class _Problem:
         self.b_star = gt.v_star
         self.lam = variant.lam if variant.tag == "regularized" else None
         self.balanced = variant.tag in ("balancing", "leave_one_out")
-        self.line = None
-        if variant.tag == "leave_one_out":
-            sel = variant.sel
-            sel.validate(mask.d1, mask.d2)
-            t = sel.index(mask.d1)
-            self.on_row = sel.axis(mask.d1) == "row"
-            if self.on_row:
-                self.line = np.arange(mask.row_ptr[t], mask.row_ptr[t + 1])
-                self.unobs = np.setdiff1d(np.arange(mask.d2),
-                                          mask.row_cells(t))
-                self.m_unobs = gt.m_star[t, self.unobs]
-            else:
-                self.line = mask.col_order[mask.col_ptr[t]:mask.col_ptr[t + 1]]
-                self.unobs = np.setdiff1d(np.arange(mask.d1),
-                                          mask.col_cells(t))
-                self.m_unobs = gt.m_star[self.unobs, t]
-            self.t = t
         self.f = None
 
     def _load(self, f):
@@ -166,13 +154,7 @@ class _Problem:
         vals = np.einsum("ij,ij->i", f.x.take(self.rows, 0),
                          f.y.take(self.cols, 0))
         vals -= self.m_obs
-        np.divide(vals, self.p, out=self.s.data)
-        if self.line is not None:
-            self.s.data[self.line] = vals[self.line]
-            if self.on_row:
-                self.corr = f.y[self.unobs] @ f.x[self.t] - self.m_unobs
-            else:
-                self.corr = f.x[self.unobs] @ f.y[self.t] - self.m_unobs
+        np.divide(vals, self.div, out=self.s.data)
         self.f, self.vals = f, vals
 
     def relative_error(self, f):
@@ -185,15 +167,7 @@ class _Problem:
 
     def objective(self, f):
         self._load(f)
-        p = self.p
-        if self.line is None:
-            val = float(self.vals @ self.vals) / (2.0 * p)
-        else:
-            # Off-line cells carry R/p (objective share R^2/2p per cell),
-            # the selected line carries R itself (share R^2/2 per cell).
-            data, on = self.s.data, self.vals[self.line]
-            val = 0.5 * (p * float(data @ data) + (1.0 - p) * float(on @ on)
-                         + float(self.corr @ self.corr))
+        val = 0.5 * float(self.vals @ self.s.data)
         if self.lam is not None:
             val += 0.5 * self.lam * (float(np.sum(f.x * f.x))
                                      + float(np.sum(f.y * f.y)))
@@ -205,13 +179,6 @@ class _Problem:
         self._load(f)
         gx = self.s @ f.y
         gy = self.st @ f.x
-        if self.line is not None and self.unobs.size:
-            if self.on_row:
-                gx[self.t] += self.corr @ f.y[self.unobs]
-                gy[self.unobs] += np.outer(self.corr, f.x[self.t])
-            else:
-                gx[self.unobs] += np.outer(self.corr, f.y[self.t])
-                gy[self.t] += self.corr @ f.x[self.unobs]
         if self.lam is not None:
             gx += self.lam * f.x
             gy += self.lam * f.y
@@ -220,6 +187,24 @@ class _Problem:
             gx += 0.5 * f.x @ b
             gy -= 0.5 * f.y @ b
         return FactorPair(gx, gy)
+
+
+def _loo_cells(mask, sel):
+    """The cells of the leave-one-out problem for selector sel, Omega plus
+    the selected line, and their divisors: 1 on the line, p elsewhere."""
+    sel.validate(mask.d1, mask.d2)
+    t = sel.index(mask.d1)
+    on_row = sel.axis(mask.d1) == "row"
+    n = mask.d2 if on_row else mask.d1
+    full, span = np.full(n, t), np.arange(n)
+    line_rows, line_cols = (full, span) if on_row else (span, full)
+    off = (mask.rows if on_row else mask.cols) != t
+    cells = ObservationMask.from_cells(
+        mask.d1, mask.d2, mask.p,
+        np.concatenate((mask.rows[off], line_rows)),
+        np.concatenate((mask.cols[off], line_cols)))
+    on_line = (cells.rows if on_row else cells.cols) == t
+    return cells, np.where(on_line, 1.0, mask.p)
 
 
 def objective(f, gt, mask, variant):
@@ -287,23 +272,27 @@ def run(gt, mask, config, init):
         if factors is not None:
             factors.append(f)
 
-    for k in range(config.max_iters + 1):
-        rel = problem.relative_error(f)
-        if k % config.record_every == 0 or k == config.max_iters:
-            record(k, rel, problem.objective(f))
-        if not np.isfinite(rel) or rel > DIVERGENCE_REL_ERR:
-            status, iterations = "diverged", k
-            break
-        if rel < config.tol:
-            status, iterations = "converged", k
-            break
-        if k == config.max_iters:
-            break
-        f = step(f, problem.gradient(f), config.step)
+    # A diverging iterate overflows; the non-finite relative error that
+    # results is the divergence signal, reported by the status, so numpy's
+    # overflow and invalid-value warnings are not raised here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(config.max_iters + 1):
+            rel = problem.relative_error(f)
+            if k % config.record_every == 0 or k == config.max_iters:
+                record(k, rel, problem.objective(f))
+            if not np.isfinite(rel) or rel > DIVERGENCE_REL_ERR:
+                status, iterations = "diverged", k
+                break
+            if rel < config.tol:
+                status, iterations = "converged", k
+                break
+            if k == config.max_iters:
+                break
+            f = step(f, problem.gradient(f), config.step)
 
-    # Make sure the terminal iterate is always on the trace.
-    if trace.k[-1] != min(iterations, config.max_iters):
-        record(min(iterations, config.max_iters),
-               problem.relative_error(f), problem.objective(f))
+        # Make sure the terminal iterate is always on the trace.
+        if trace.k[-1] != min(iterations, config.max_iters):
+            record(min(iterations, config.max_iters),
+                   problem.relative_error(f), problem.objective(f))
     return RunResult(final=f, trace=trace, status=status,
                      iterations=iterations, factors=factors)

@@ -1,6 +1,8 @@
 import csv
 import json
+import warnings
 
+import numpy as np
 import pytest
 
 from lrmc import experiments
@@ -86,6 +88,31 @@ def test_converge_huge_step_records_divergence(tmp_path):
     assert rows[-1]["dist"] == "nan"
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["aggregates"]["diverged_algorithms"] == ["VGD"]
+
+
+def test_converge_divergence_raises_no_runtime_warning(tmp_path):
+    argv = ["converge", "--d1", "30", "--d2", "20", "--r", "2", "--p", "0.5",
+            "--trials", "1", "--algs", "VGD", "--s", "1e200", "--out"]
+
+    def rows(out):
+        with open(out / "convergence.csv") as fh:
+            return [{k: v for k, v in r.items() if k != "seconds"}
+                    for r in csv.DictReader(fh)]
+
+    assert main([*argv, str(tmp_path / "plain")]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([*argv, str(tmp_path / "strict")]) == 1
+    assert rows(tmp_path / "strict") == rows(tmp_path / "plain")
+
+
+def test_svd_failure_is_reported_as_error(monkeypatch, capsys, tmp_path):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    assert main(["converge", *SMALL, "--out", str(tmp_path)]) == 1
+    assert "lrmc: error: SVD did not converge" in capsys.readouterr().err
 
 
 def test_converge_flags_nan_rows_as_diverged(tmp_path, monkeypatch):

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lrmc.linalg import (fix_signs, frobenius_norm, full_svd, spectral_norm,
-                         two_inf_norm)
+from lrmc.linalg import fix_signs, frobenius_norm, full_svd, spectral_norm
 
 finite_matrices = arrays(
     np.float64, st.tuples(st.integers(1, 8), st.integers(1, 8)),
@@ -39,18 +38,6 @@ def test_spectral_matches_svd_oracle():
     m = rng.standard_normal((10, 7))
     expected = np.linalg.svd(m, compute_uv=False)[0]
     assert spectral_norm(m) == pytest.approx(expected, rel=1e-8)
-
-
-def test_two_inf_trivial():
-    assert two_inf_norm(np.eye(3)) == 1.0
-    assert two_inf_norm(np.array([[1.0, 0.0], [3.0, 4.0]])) == 5.0
-
-
-def test_two_inf_matches_row_scan():
-    rng = np.random.default_rng(2)
-    m = rng.standard_normal((20, 4))
-    expected = max(np.linalg.norm(m[i]) for i in range(20))
-    assert two_inf_norm(m) == pytest.approx(expected, abs=1e-12)
 
 
 def test_full_svd_diagonal_and_zero():
@@ -115,4 +102,3 @@ def test_norm_inequalities(m):
     root = np.sqrt(min(m.shape))
     assert spec <= fro + 1e-9 * (1 + fro)
     assert fro <= root * spec + 1e-9 * (1 + fro)
-    assert two_inf_norm(m) <= fro + 1e-12

@@ -77,6 +77,8 @@ def test_gl_align_never_worse_than_procrustes():
         target = _random_pair(rng, 9, 7, 3)
         assert gl_align(f, target).residual <= \
             procrustes_align(f, target).residual + 1e-10
+        # dist carries the Procrustes candidate unsquared: the bound is exact
+        assert dist(f, target) <= procrustes_align(f, target).residual
 
 
 def test_gl_align_rank_deficient_raises():
