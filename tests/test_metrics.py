@@ -1,16 +1,79 @@
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from lrmc.experiments import gen_ground_truth
-from lrmc.metrics import (AlignmentDegenerateError, balancing_norm, dist,
+import lrmc
+from lrmc.experiments import derive_seed, gen_ground_truth
+from lrmc.metrics import (AlignmentDegenerateError, _gl_derivatives,
+                          _gl_newton, _gl_offset, balancing_norm, dist,
                           gl_align, incoherence, procrustes_align,
                           relative_error)
 from lrmc.model import FactorPair
+from lrmc.sampling import sample_mask
+from lrmc.solvers import SolverConfig, SolverVariant, run
+from lrmc.spectral import spectral_init
 
 
 def _random_pair(rng, d1, d2, r):
     return FactorPair(rng.standard_normal((d1, r)),
                       rng.standard_normal((d2, r)))
+
+
+# --- dense oracle: the L-BFGS-B alignment on the d x r factors -------------
+
+def _gl_value_grad(q, x, y, x_t, y_t):
+    """Objective ||XQ - X*||_F^2 + ||Y Q^-T - Y*||_F^2 and its gradient."""
+    sign, logdet = np.linalg.slogdet(q)
+    if sign == 0 or logdet < -60 * q.shape[0]:
+        return np.inf, np.zeros_like(q)
+    qinv = np.linalg.inv(q)
+    rx = x @ q - x_t
+    ry = y @ qinv.T - y_t
+    val = np.sum(rx * rx) + np.sum(ry * ry)
+    grad = 2.0 * (x.T @ rx) - 2.0 * qinv.T @ ry.T @ y @ qinv.T
+    return val, grad
+
+
+def _oracle_residual(f, target):
+    """Smallest residual of an L-BFGS-B refinement from the Procrustes
+    rotation, the Procrustes rotation itself and the two one-sided
+    least-squares solutions."""
+    r = f.r
+    x, y, x_t, y_t = f.x, f.y, target.x, target.y
+    pro = procrustes_align(f, target)
+
+    def fun(vec):
+        val, grad = _gl_value_grad(vec.reshape(r, r), x, y, x_t, y_t)
+        return val, grad.ravel()
+
+    res = minimize(fun, pro.matrix.ravel(), jac=True, method="L-BFGS-B",
+                   options={"maxiter": 200, "ftol": 1e-18, "gtol": 1e-14})
+    cands = [res.x.reshape(r, r), np.linalg.lstsq(x, x_t, rcond=None)[0],
+             np.linalg.inv(np.linalg.lstsq(y, y_t, rcond=None)[0]).T]
+    vals = [np.sqrt(_gl_value_grad(q, x, y, x_t, y_t)[0]) for q in cands]
+    return min(vals + [pro.residual])
+
+
+@pytest.fixture(scope="module")
+def headline_factors():
+    """Every iterate of the 160x100 r=5 p=0.2 headline run, VGD and BGD."""
+    gt = gen_ground_truth(160, 100, 5, 1.0, derive_seed(1, (0, 0), "VGD", 0))
+    mask = sample_mask(160, 100, 0.2, derive_seed(1, (1, 0), "VGD", 0))
+    init = spectral_init(gt, mask, 5)
+    runs = {}
+    for name, variant in (("VGD", SolverVariant.vanilla()),
+                          ("BGD", SolverVariant.balancing())):
+        cfg = SolverConfig(variant=variant, step=0.5, max_iters=5000,
+                           tol=1e-14, store_factors=True)
+        res = run(gt, mask, cfg, init)
+        assert res.status == "converged"
+        runs[name] = res.factors
+    return gt.optimal_pair(), runs
 
 
 def test_relative_error_basic():
@@ -79,6 +142,65 @@ def test_gl_align_never_worse_than_procrustes():
             procrustes_align(f, target).residual + 1e-10
         # dist carries the Procrustes candidate unsquared: the bound is exact
         assert dist(f, target) <= procrustes_align(f, target).residual
+        assert gl_align(f, target).residual <= \
+            _oracle_residual(f, target) + 1e-15
+
+
+def test_gl_align_never_worse_than_oracle_along_headline_run(
+        headline_factors):
+    target, runs = headline_factors
+    for factors in runs.values():
+        for f in factors[::10]:
+            assert gl_align(f, target).residual <= \
+                _oracle_residual(f, target) + 1e-15
+
+
+def test_gl_align_converged_on_every_headline_iterate(headline_factors):
+    # The flag means stationary: clause (e) of the hypothesis check counts
+    # an iterate only when it is set.
+    target, runs = headline_factors
+    for name, factors in runs.items():
+        flags = [gl_align(f, target).converged for f in factors]
+        assert all(flags), (name, [k for k, ok in enumerate(flags) if not ok])
+
+
+def test_gl_derivatives_match_finite_differences():
+    rng = np.random.default_rng(11)
+    r = 3
+    f = _random_pair(rng, 9, 7, r)
+    target = _random_pair(rng, 9, 7, r)
+    x, y, x_t, y_t = f.x, f.y, target.x, target.y
+    o = procrustes_align(f, target).matrix
+    a, b = x.T @ x, y.T @ y
+    xe, yf = x.T @ (x @ o - x_t), y.T @ (y @ o - y_t)
+    f_o = _gl_value_grad(o, x, y, x_t, y_t)[0]
+
+    def at(q):
+        p, h, off, _ = _gl_offset(o, a, b, xe, yf, q - o)
+        grad, hess = _gl_derivatives(a, b, xe, yf, q - o, p, h)
+        return off, 2.0 * grad, 2.0 * hess
+
+    for _ in range(5):
+        # singular values in [0.5, 2]: well conditioned, far from O
+        u, _ = np.linalg.qr(rng.standard_normal((r, r)))
+        v, _ = np.linalg.qr(rng.standard_normal((r, r)))
+        q = u @ np.diag(rng.uniform(0.5, 2.0, r)) @ v.T
+        off, grad, hess = at(q)
+        val, grad_oracle = _gl_value_grad(q, x, y, x_t, y_t)
+        assert off == pytest.approx(val - f_o, rel=1e-10, abs=1e-10)
+        assert np.allclose(grad, grad_oracle, rtol=1e-10, atol=1e-10)
+        eps = 1e-6
+        fd_grad = np.empty(r * r)
+        fd_hess = np.empty((r * r, r * r))
+        for j in range(r * r):
+            e = np.zeros(r * r)
+            e[j] = eps
+            e = e.reshape(r, r)
+            up, dn = at(q + e), at(q - e)
+            fd_grad[j] = (up[0] - dn[0]) / (2 * eps)
+            fd_hess[:, j] = (up[1] - dn[1]).ravel() / (2 * eps)
+        assert np.allclose(fd_grad, grad.ravel(), rtol=1e-6, atol=1e-6)
+        assert np.allclose(fd_hess, hess, rtol=1e-6, atol=1e-6)
 
 
 def test_gl_align_rank_deficient_raises():
@@ -90,13 +212,33 @@ def test_gl_align_rank_deficient_raises():
 
 def test_gl_align_nonfinite_factors_raise_degenerate():
     # Factors an overflowing step produces: every alignment candidate has
-    # a non-finite residual, so dist must report nan rather than fail.
+    # a non-finite residual, so dist must report nan rather than fail, and
+    # without a numpy RuntimeWarning.
     gt = gen_ground_truth(10, 8, 2, 1.0, seed=3)
     rng = np.random.default_rng(4)
     f = FactorPair(1e200 * rng.standard_normal((10, 2)),
                    1e200 * rng.standard_normal((8, 2)))
-    with np.errstate(all="ignore"), pytest.raises(AlignmentDegenerateError):
-        gl_align(f, gt.optimal_pair())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(AlignmentDegenerateError):
+            gl_align(f, gt.optimal_pair())
+        # Finite Grams whose Newton steps overflow: the damping loop ends.
+        g = FactorPair(f.x * 1e-50, f.y * 1e-50)
+        res = gl_align(g, gt.optimal_pair())
+        assert res.residual <= procrustes_align(g, gt.optimal_pair()).residual
+    # Non-finite Grams stop the solve at once instead of damping forever.
+    o = np.eye(2)
+    nan = np.full((2, 2), np.nan)
+    q, stationary = _gl_newton(o, nan, nan, nan, nan)
+    assert q is o and not stationary
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = os.path.dirname(os.path.dirname(lrmc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, lrmc; sys.exit('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env)
+    assert proc.returncode == 0
 
 
 def test_rank_mismatch_raises():
@@ -118,6 +260,8 @@ def test_dist_invariant_under_gl_reparametrization():
     q = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
     g = FactorPair(f.x @ q, f.y @ np.linalg.inv(q).T)
     assert dist(g, target) == pytest.approx(base, rel=1e-4, abs=1e-8)
+    for pair in (f, g):
+        assert dist(pair, target) <= _oracle_residual(pair, target) + 1e-15
 
 
 def test_dist_zero_at_target():
