@@ -11,8 +11,16 @@ the observed cells with w_c = p. Leave-one-out uses the observed cells
 together with its whole line, with w_c = 1 on the line and p elsewhere,
 which is the operator (1/p) P_{Omega minus line} + P_{line}. The ridge and
 imbalance penalties are added to that data term.
+
+The residual has two storage layouts, picked once per problem from
+d1 * d2 alone. Up to DENSE_SIZE_LIMIT entries it is a dense d1 x d2
+matrix, and the one matrix X Y.T - M* per iterate gives the relative
+error, the objective and the gradient. Above the limit it lives only on
+the cells, in a CSR matrix, and the relative error comes from a QR of
+the factors; there, forming X Y.T would cost more than it saves.
 """
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -38,6 +46,10 @@ __all__ = [
 ]
 
 DIVERGENCE_REL_ERR = 1e6
+# Up to this many entries d1 * d2 the residual is held as a dense matrix;
+# above it, on the cells only (see the module docstring). The crossover
+# measured at one BLAS thread lies between 6e4 and 2e5 entries.
+DENSE_SIZE_LIMIT = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -114,50 +126,78 @@ class _Problem:
 
     The variant's cells and per-cell divisors are fixed at bind time (see
     the module docstring). One evaluation of an iterate computes the
-    residual X Y.T - M* at those cells and writes it, divided by the
-    divisors, in place into the data of a CSR matrix S over the cells;
-    objective and gradient both read it, and the data gradient is
-    (S Y, S.T X) at O(|cells| r). With a fully observed mask the
-    leave-one-out cells are the mask's and every divisor is 1, so it is
-    the balancing problem bitwise.
+    residual X Y.T - M* and writes it, divided by the divisors on the
+    cells and zero elsewhere, into a matrix S; objective and gradient both
+    read it, the objective as (1/2) <residual, S> and the data gradient as
+    (S Y, S.T X). With a fully observed mask the leave-one-out cells are
+    the mask's and every divisor is 1, so it is the balancing problem
+    bitwise.
 
-    The relative error never forms X Y.T: with A = [X, -U* S*] and
-    B = [Y, V*], X Y.T - M* = A B.T, and ||A B.T||_F = ||B R_A.T||_F for
-    the triangular factor R_A of a QR of A, at O((d1+d2) r^2).
+    Which layout holds the residual and S is chosen from d1 * d2:
+
+    - dense, up to DENSE_SIZE_LIMIT entries: the residual D is written
+      into a preallocated d1 x d2 buffer, the relative error is
+      ||D||_F / ||M*||_F from that same D, and S = D * W with W holding
+      1/divisor on the cells and 0 elsewhere;
+    - CSR/QR, above it: the residual is gathered at the cells only and
+      written in place into the data of a CSR matrix S, so the gradient
+      costs O(|cells| r). The relative error never forms X Y.T: with
+      A = [X, -U* S*] and B = [Y, V*], X Y.T - M* = A B.T, and
+      ||A B.T||_F = ||B R_A.T||_F for the triangular factor R_A of a QR of
+      A, at O((d1+d2) r^2).
     """
 
     def __init__(self, gt, mask, variant):
         if variant.tag not in ("vanilla", "regularized", "balancing",
                                "leave_one_out"):
             raise ValueError(f"unknown variant {variant.tag!r}")
-        self.div = mask.p
+        div = mask.p
         if variant.tag == "leave_one_out":
-            mask, self.div = _loo_cells(mask, variant.sel)
-        self.rows, self.cols = mask.rows, mask.cols
-        self.m_obs = gt.m_star[mask.rows, mask.cols]
-        self.s = csr_array((np.zeros(mask.n_cells), mask.cols, mask.row_ptr),
-                           shape=(mask.d1, mask.d2))
-        self.st = self.s.T  # shares self.s.data
+            mask, div = _loo_cells(mask, variant.sel)
         self.m_norm = frobenius_norm(gt.m_star)
         if self.m_norm == 0.0:
             raise ValueError("m_star is zero; relative error undefined")
-        self.a_star = -(gt.u_star * gt.sigma_star)
-        self.b_star = gt.v_star
         self.lam = variant.lam if variant.tag == "regularized" else None
         self.balanced = variant.tag in ("balancing", "leave_one_out")
+        self.dense = mask.d1 * mask.d2 <= DENSE_SIZE_LIMIT
+        if self.dense:
+            self.m_star = np.ascontiguousarray(gt.m_star, dtype=np.float64)
+            self.w = np.zeros((mask.d1, mask.d2))
+            self.w[mask.rows, mask.cols] = 1.0 / div
+            self.resid = np.empty((mask.d1, mask.d2))
+            self.s = self.s_vals = np.empty((mask.d1, mask.d2))
+        else:
+            self.div = div
+            self.rows, self.cols = mask.rows, mask.cols
+            self.m_obs = gt.m_star[mask.rows, mask.cols]
+            self.s = csr_array((np.zeros(mask.n_cells), mask.cols,
+                                mask.row_ptr), shape=(mask.d1, mask.d2))
+            self.s_vals = self.s.data
+            self.a_star = -(gt.u_star * gt.sigma_star)
+            self.b_star = gt.v_star
+        self.st = self.s.T  # shares the storage of self.s
         self.f = None
 
     def _load(self, f):
         """Evaluate the residual at f, unless f is the iterate last loaded."""
         if f is self.f:
             return
-        vals = np.einsum("ij,ij->i", f.x.take(self.rows, 0),
-                         f.y.take(self.cols, 0))
-        vals -= self.m_obs
-        np.divide(vals, self.div, out=self.s.data)
-        self.f, self.vals = f, vals
+        if self.dense:
+            np.matmul(f.x, f.y.T, out=self.resid)
+            self.resid -= self.m_star
+            self.rel = math.sqrt(np.vdot(self.resid, self.resid)) / self.m_norm
+            np.multiply(self.resid, self.w, out=self.s)
+        else:
+            self.resid = np.einsum("ij,ij->i", f.x.take(self.rows, 0),
+                                   f.y.take(self.cols, 0))
+            self.resid -= self.m_obs
+            np.divide(self.resid, self.div, out=self.s_vals)
+        self.f = f
 
     def relative_error(self, f):
+        if self.dense:
+            self._load(f)
+            return self.rel
         a = np.empty((f.x.shape[0], f.r + self.a_star.shape[1]), order="F")
         a[:, :f.r] = f.x
         a[:, f.r:] = self.a_star
@@ -167,7 +207,7 @@ class _Problem:
 
     def objective(self, f):
         self._load(f)
-        val = 0.5 * float(self.vals @ self.s.data)
+        val = 0.5 * float(np.vdot(self.resid, self.s_vals))
         if self.lam is not None:
             val += 0.5 * self.lam * (float(np.sum(f.x * f.x))
                                      + float(np.sum(f.y * f.y)))

@@ -1,9 +1,12 @@
 import csv
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from lrmc import experiments
 from lrmc.experiments import (ExperimentSpec, PhaseGrid, derive_seed,
                               extract_contour, gen_ground_truth,
                               run_convergence, run_phase, run_timing,
@@ -119,6 +122,42 @@ def test_run_phase_small_grid(tmp_path):
     with open(tmp_path / "contour.csv") as fh:
         crows = list(csv.DictReader(fh))
     assert [r["r"] for r in crows] == ["2", "6"]
+
+
+def test_run_phase_same_result_across_jobs(tmp_path):
+    spec = ExperimentSpec(d1=20, d2=16, r=2, kappa=1.0, step=0.5,
+                          trials=2, master_seed=3, max_iters=600,
+                          p_grid=(0.2, 0.5, 1.0), r_grid=(2, 6),
+                          algorithms=("VGD",))
+    out = {}
+    for jobs in (1, 2):
+        paths = (tmp_path / f"phase{jobs}.csv",
+                 tmp_path / f"contour{jobs}.csv")
+        grid = run_phase(dataclasses.replace(spec, jobs=jobs),
+                         csv_path=paths[0], contour_csv_path=paths[1])
+        out[jobs] = (grid.successes, [p.read_bytes() for p in paths])
+    assert (out[1][0] == out[2][0]).all()
+    assert out[1][1] == out[2][1]
+
+
+def test_run_phase_ignores_only_underdetermined_warnings(monkeypatch):
+    # One underdetermined cell (|cells| < r(d1+d2)): run warns about that,
+    # which a phase grid expects; any other warning must reach the caller.
+    real_run = experiments.run
+
+    def noisy_run(*args, **kwargs):
+        warnings.warn("from the solver", RuntimeWarning)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run", noisy_run)
+    spec = ExperimentSpec(d1=20, d2=16, r=2, kappa=1.0, step=0.5, trials=2,
+                          max_iters=5, p_grid=(0.2,), r_grid=(6,),
+                          algorithms=("VGD",))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_phase(spec)
+    messages = [str(w.message) for w in caught]
+    assert messages == ["from the solver"] * 2
 
 
 def test_run_phase_requires_grids():

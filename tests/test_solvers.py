@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lrmc.experiments import gen_ground_truth
+from lrmc import solvers
+from lrmc.experiments import derive_seed, gen_ground_truth
 from lrmc.metrics import balancing_norm, relative_error
 from lrmc.model import FactorPair
 from lrmc.sampling import LooSelector, ObservationMask, sample_mask
@@ -16,6 +17,29 @@ VARIANTS = [
     SolverVariant.leave_one_out(2),
     SolverVariant.leave_one_out(12),  # column selector for a 10-row target
 ]
+
+
+# The residual layout is picked from d1 * d2 alone (solvers.DENSE_SIZE_LIMIT);
+# setting the limit makes every size below bind the layout named here.
+LAYOUT_LIMITS = {"dense": np.iinfo(np.int64).max, "csr": 0}
+
+
+@pytest.fixture
+def layout(request, monkeypatch):
+    monkeypatch.setattr(solvers, "DENSE_SIZE_LIMIT",
+                        LAYOUT_LIMITS[request.param])
+    return request.param
+
+
+def _in_both_layouts(values, ids):
+    """pytest params for values x layouts; the dense layout keeps the bare
+    id and the CSR/QR layout gets a "-csr" suffix."""
+    return [pytest.param(v, lay, id=i if lay == "dense" else f"{i}-csr")
+            for v, i in zip(values, ids) for lay in LAYOUT_LIMITS]
+
+
+def _variant_id(v):
+    return v.tag + str(v.sel.l if v.sel else "")
 
 
 @pytest.fixture(scope="module")
@@ -131,11 +155,12 @@ ORACLE_VARIANTS = VARIANTS + [SolverVariant.leave_one_out(4),
                               SolverVariant.leave_one_out(16)]
 
 
-@pytest.mark.parametrize("mask_name", sorted(ORACLE_MASKS))
 @pytest.mark.parametrize(
-    "variant", ORACLE_VARIANTS,
-    ids=lambda v: v.tag + str(v.sel.l if v.sel else ""))
-def test_operator_matches_dense_oracle(mask_name, variant):
+    "mask_name,layout",
+    _in_both_layouts(sorted(ORACLE_MASKS), sorted(ORACLE_MASKS)),
+    indirect=["layout"])
+@pytest.mark.parametrize("variant", ORACLE_VARIANTS, ids=_variant_id)
+def test_operator_matches_dense_oracle(mask_name, variant, layout):
     gt = gen_ground_truth(10, 8, 2, 2.0, seed=0)
     mask = ORACLE_MASKS[mask_name]()
     rng = np.random.default_rng(15)
@@ -149,11 +174,15 @@ def test_operator_matches_dense_oracle(mask_name, variant):
         assert np.allclose(g.y, ref.y, rtol=1e-12, atol=1e-12)
 
 
+STEP_VARIANTS = [SolverVariant.vanilla(), SolverVariant.leave_one_out(3),
+                 SolverVariant.leave_one_out(14)]
+
+
 @pytest.mark.parametrize(
-    "variant", [SolverVariant.vanilla(), SolverVariant.leave_one_out(3),
-                SolverVariant.leave_one_out(14)],
-    ids=lambda v: v.tag + str(v.sel.l if v.sel else ""))
-def test_run_steps_match_dense_oracle(variant):
+    "variant,layout",
+    _in_both_layouts(STEP_VARIANTS, map(_variant_id, STEP_VARIANTS)),
+    indirect=["layout"])
+def test_run_steps_match_dense_oracle(variant, layout):
     # Every step of a run, where the operator is reused across iterates,
     # must be the dense-oracle descent step from the recorded iterate.
     gt = gen_ground_truth(12, 9, 2, 2.0, seed=16)
@@ -169,7 +198,8 @@ def test_run_steps_match_dense_oracle(variant):
         assert np.allclose(nxt.y, expected.y, rtol=1e-12, atol=1e-14)
 
 
-def test_run_relative_error_matches_dense_at_converged_iterates():
+@pytest.mark.parametrize("layout", list(LAYOUT_LIMITS), indirect=True)
+def test_run_relative_error_matches_dense_at_converged_iterates(layout):
     gt = gen_ground_truth(60, 40, 3, 2.0, seed=18)
     mask = sample_mask(60, 40, 0.4, seed=19)
     init = spectral_init(gt, mask, 3)
@@ -182,6 +212,31 @@ def test_run_relative_error_matches_dense_at_converged_iterates():
              if rel < 1e-10]
     assert len(pairs) > 10
     assert max(abs(a - b) for a, b in pairs) <= 1e-16
+
+
+@pytest.mark.parametrize(
+    "variant", [SolverVariant.vanilla(), SolverVariant.balancing()],
+    ids=_variant_id)
+def test_layouts_agree_on_headline_instance(variant, monkeypatch):
+    # The 160x100, r=5, p=0.2 instance of the headline run (master seed 1),
+    # which binds the dense layout at the default limit.
+    gt = gen_ground_truth(160, 100, 5, 1.0, derive_seed(1, (0, 0), "VGD", 0))
+    mask = sample_mask(160, 100, 0.2, derive_seed(1, (1, 0), "VGD", 0))
+    init = spectral_init(gt, mask, 5)
+    assert solvers._Problem(gt, mask, variant).dense
+    cfg = SolverConfig(variant=variant, step=0.5, max_iters=5000, tol=1e-14)
+    rel = {}
+    for name, limit in LAYOUT_LIMITS.items():
+        monkeypatch.setattr(solvers, "DENSE_SIZE_LIMIT", limit)
+        assert solvers._Problem(gt, mask, variant).dense == (name == "dense")
+        res = run(gt, mask, cfg, init)
+        assert res.status == "converged"
+        assert abs(res.iterations - 786) <= 1
+        rel[name] = res.trace.relative_error
+    small = [abs(a - b) for a, b in zip(rel["dense"], rel["csr"])
+             if a < 1e-10 and b < 1e-10]
+    assert len(small) > 100
+    assert max(small) <= 1e-16
 
 
 def test_objective_at_optimum(instance):
@@ -204,8 +259,7 @@ def test_vanilla_gradient_zero_at_optimum(instance):
     assert np.max(np.abs(g.x)) < 1e-12 and np.max(np.abs(g.y)) < 1e-12
 
 
-@pytest.mark.parametrize("variant", VARIANTS,
-                         ids=lambda v: v.tag + str(v.sel.l if v.sel else ""))
+@pytest.mark.parametrize("variant", VARIANTS, ids=_variant_id)
 def test_gradient_matches_finite_differences(instance, variant):
     gt, mask = instance
     rng = np.random.default_rng(7)
@@ -337,7 +391,8 @@ def test_run_rejects_nonfinite_init(instance):
         run(gt, mask, cfg, bad)
 
 
-def test_loo_full_observation_matches_balancing_bitwise():
+@pytest.mark.parametrize("layout", list(LAYOUT_LIMITS), indirect=True)
+def test_loo_full_observation_matches_balancing_bitwise(layout):
     gt = gen_ground_truth(12, 9, 3, 2.0, seed=10)
     mask = sample_mask(12, 9, 1.0, seed=11)
     init = spectral_init(gt, mask, 3)
