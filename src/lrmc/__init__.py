@@ -6,8 +6,8 @@ from .linalg import frobenius_norm, full_svd, spectral_norm
 from .metrics import (balancing_norm, dist, gl_align, incoherence,
                       procrustes_align, relative_error)
 from .model import FactorPair, GroundTruth
-from .sampling import (LooSelector, ObservationMask, loo_project, project,
-                       sample_mask)
+from .sampling import (LooSelector, ObservationMask, loo_cells, loo_project,
+                       project, sample_mask)
 from .solvers import (IterateTrace, RunResult, SolverConfig, SolverVariant,
                       gradient, objective, run, step)
 from .spectral import loo_init, spectral_init, truncated_svd

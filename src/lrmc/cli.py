@@ -21,17 +21,15 @@ __all__ = ["parse_args", "dispatch", "main"]
 def _rate(text):
     value = float(text)
     if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(
-            f"--p must be in (0, 1], got {value}")
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
     return value
 
 
-def _positive(kind, name):
+def _positive(kind):
     def convert(text):
         value = kind(text)
         if value <= 0:
-            raise argparse.ArgumentTypeError(
-                f"{name} must be positive, got {value}")
+            raise argparse.ArgumentTypeError(f"must be positive, got {value}")
         return value
     return convert
 
@@ -42,24 +40,38 @@ def _grid(kind):
     return convert
 
 
+# Every key a config file may set, by flag name, and its converter. The
+# flags are built from this table, so a value gets the same checks from a
+# config file as from the command line.
+_POS_INT, _POS_FLOAT = _positive(int), _positive(float)
+_CONVERT = {
+    "d1": _POS_INT, "d2": _POS_INT, "r": _POS_INT, "p": _rate,
+    "kappa": _POS_FLOAT, "s": _POS_FLOAT, "lambda": _grid(_POS_FLOAT),
+    "trials": _POS_INT, "seed": int, "tol": _POS_FLOAT,
+    "max-iters": _POS_INT, "algs": _grid(str), "jobs": _POS_INT,
+    "out": Path, "p-grid": _grid(_rate), "r-grid": _grid(_POS_INT),
+    "selectors": _grid(int), "kind": str, "csv": Path,
+}
+_DEST = {"s": "step", "lambda": "lambdas", "csv": "csv_path"}
+_HELP = {"lambda": "comma-separated RGD parameters", "out": "output directory",
+         "selectors": "comma-separated leave-one-out indices; 0 for none"}
+
+
+def _dest(key):
+    return _DEST.get(key, key.replace("-", "_"))
+
+
+def _add(sub, key, **kwargs):
+    sub.add_argument(f"--{key}", type=_CONVERT[key], dest=_dest(key),
+                     help=_HELP.get(key), **kwargs)
+
+
 def _add_common(sub):
     sub.add_argument("--config", type=Path,
                      help="key=value file; flags take precedence")
-    sub.add_argument("--d1", type=_positive(int, "--d1"))
-    sub.add_argument("--d2", type=_positive(int, "--d2"))
-    sub.add_argument("--r", type=_positive(int, "--r"))
-    sub.add_argument("--p", type=_rate)
-    sub.add_argument("--kappa", type=_positive(float, "--kappa"))
-    sub.add_argument("--s", type=_positive(float, "--s"), dest="step")
-    sub.add_argument("--lambda", type=_grid(float), dest="lambdas",
-                     help="comma-separated RGD parameters")
-    sub.add_argument("--trials", type=_positive(int, "--trials"))
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--tol", type=_positive(float, "--tol"))
-    sub.add_argument("--max-iters", type=_positive(int, "--max-iters"))
-    sub.add_argument("--algs", type=lambda t: tuple(t.split(",")))
-    sub.add_argument("--jobs", type=_positive(int, "--jobs"))
-    sub.add_argument("--out", type=Path, help="output directory")
+    for key in ("d1", "d2", "r", "p", "kappa", "s", "lambda", "trials",
+                "seed", "tol", "max-iters", "algs", "jobs", "out"):
+        _add(sub, key)
     sub.add_argument("-v", "--verbose", action="store_true")
 
 
@@ -73,16 +85,6 @@ DEFAULTS = {
 
 def _load_config(path, parser):
     values = {}
-    casts = {
-        "d1": int, "d2": int, "r": int, "p": float, "kappa": float,
-        "s": float, "lambda": _grid(float), "trials": int, "seed": int,
-        "tol": float, "max-iters": int, "algs": lambda t: tuple(t.split(",")),
-        "jobs": int, "out": Path, "p-grid": _grid(float),
-        "r-grid": _grid(int), "selectors": _grid(int), "kind": str,
-        "csv": Path,
-    }
-    names = {"s": "step", "lambda": "lambdas", "max-iters": "max_iters",
-             "p-grid": "p_grid", "r-grid": "r_grid", "csv": "csv_path"}
     try:
         text = path.read_text()
     except OSError as exc:
@@ -95,12 +97,12 @@ def _load_config(path, parser):
             parser.error(f"{path}:{lineno}: expected key=value")
         key, _, raw = line.partition("=")
         key = key.strip()
-        if key not in casts:
+        if key not in _CONVERT:
             parser.error(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[names.get(key, key)] = casts[key](raw.strip())
+            values[_dest(key)] = _CONVERT[key](raw.strip())
         except (ValueError, argparse.ArgumentTypeError) as exc:
-            parser.error(f"{path}:{lineno}: {exc}")
+            parser.error(f"{path}:{lineno}: {key}: {exc}")
     return values
 
 
@@ -118,18 +120,16 @@ def _build_parser():
         sub = subs.add_parser(name, help=help_text)
         _add_common(sub)
         if name == "phase":
-            sub.add_argument("--p-grid", type=_grid(float), dest="p_grid")
-            sub.add_argument("--r-grid", type=_grid(int), dest="r_grid")
+            _add(sub, "p-grid")
+            _add(sub, "r-grid")
         if name == "theory":
-            sub.add_argument("--selectors", type=_grid(int),
-                             help="comma-separated leave-one-out indices; "
-                                  "0 for none")
+            _add(sub, "selectors")
 
     plot = subs.add_parser("plot", help="render a CSV to SVG")
-    plot.add_argument("--csv", type=Path, required=True, dest="csv_path")
-    plot.add_argument("--kind", choices=("lines", "heatmap"), required=True)
+    _add(plot, "csv", required=True)
+    _add(plot, "kind", choices=("lines", "heatmap"), required=True)
     plot.add_argument("--contour", type=Path, default=None)
-    plot.add_argument("--out", type=Path, default=Path("."))
+    _add(plot, "out", default=Path("."))
     plot.add_argument("-v", "--verbose", action="store_true")
     return parser
 

@@ -1,9 +1,14 @@
-"""Bernoulli observation masks and the projection operators built on them.
+"""Bernoulli observation masks and the observation operators built on them.
 
-The mask stores the observed cells as sorted coordinate arrays with row and
-column slice indices, so operators touch only observed cells (O(|cells|)
+The mask stores the observed cells as coordinate arrays sorted row-major,
+with a row slice index, so operators touch only observed cells (O(|cells|)
 instead of O(d1*d2) where it matters). Masks are immutable after
 construction.
+
+An observation operator is a weighted cell set: a mask together with the
+divisors of its cells, the operator being R -> R[cells] / div. The plain
+problem's divisor is the scalar p, giving (1/p) P_Omega; `loo_cells` builds
+the leave-one-out one, (1/p) P_{Omega minus line} + P_{line}.
 """
 
 import warnings
@@ -18,6 +23,7 @@ __all__ = [
     "sample_mask",
     "project",
     "loo_project",
+    "loo_cells",
     "save_mask",
     "load_mask",
 ]
@@ -27,8 +33,8 @@ __all__ = [
 class ObservationMask:
     """Set of observed (i, j) cells of a d1 x d2 matrix.
 
-    rows/cols are sorted in row-major order. row_ptr[i]:row_ptr[i+1] slices
-    the cells of row i; col_order/col_ptr give the same access by column.
+    rows/cols are sorted in row-major order, and row_ptr[i]:row_ptr[i+1]
+    slices the cells of row i.
     """
 
     d1: int
@@ -38,12 +44,12 @@ class ObservationMask:
     rows: np.ndarray
     cols: np.ndarray
     row_ptr: np.ndarray = field(repr=False)
-    col_order: np.ndarray = field(repr=False)
-    col_ptr: np.ndarray = field(repr=False)
 
     @classmethod
     def from_cells(cls, d1, d2, p, rows, cols, seed=None):
         _check_rate(p)
+        if d1 < 1 or d2 < 1:
+            raise ValueError(f"dimensions ({d1}, {d2}) must be >= 1")
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         if rows.shape != cols.shape:
@@ -58,34 +64,14 @@ class ObservationMask:
             raise ValueError("duplicate cells in mask")
         rows, cols = rows[order], cols[order]
         row_ptr = np.searchsorted(rows, np.arange(d1 + 1))
-        col_order = np.argsort(cols, kind="stable")
-        col_ptr = np.searchsorted(cols[col_order], np.arange(d2 + 1))
-        obj = cls(d1=int(d1), d2=int(d2), p=float(p), seed=seed,
-                  rows=rows, cols=cols, row_ptr=row_ptr,
-                  col_order=col_order, col_ptr=col_ptr)
-        for a in (rows, cols, row_ptr, col_order, col_ptr):
+        for a in (rows, cols, row_ptr):
             a.setflags(write=False)
-        return obj
+        return cls(d1=int(d1), d2=int(d2), p=float(p), seed=seed,
+                   rows=rows, cols=cols, row_ptr=row_ptr)
 
     @property
     def n_cells(self):
         return int(self.rows.size)
-
-    def row_cells(self, i):
-        """Column indices observed in row i."""
-        lo, hi = self.row_ptr[i], self.row_ptr[i + 1]
-        return self.cols[lo:hi]
-
-    def col_cells(self, j):
-        """Row indices observed in column j."""
-        lo, hi = self.col_ptr[j], self.col_ptr[j + 1]
-        return self.rows[self.col_order[lo:hi]]
-
-    def dense(self):
-        """Boolean d1 x d2 indicator of the observed cells."""
-        out = np.zeros((self.d1, self.d2), dtype=bool)
-        out[self.rows, self.cols] = True
-        return out
 
 
 @dataclass(frozen=True)
@@ -143,11 +129,12 @@ def project(m, mask):
 
 
 def loo_project(m, mask, sel, p):
-    """Apply P_{Omega minus line l} + p * P_{line l}.
+    """Apply P_{Omega minus line l} + p * P_{line l}, densely.
 
     On every row (column) except the selector's target this is `project`;
     the target line is returned in full, scaled by p. Dividing the result
-    by p therefore yields the leave-one-out observation operator.
+    by p therefore yields the leave-one-out observation operator, which
+    the library applies through `loo_cells`; this is its dense form.
     """
     m = np.asarray(m, dtype=np.float64)
     _check_dims(m, mask)
@@ -159,6 +146,24 @@ def loo_project(m, mask, sel, p):
     else:
         out[:, t] = p * m[:, t]
     return out
+
+
+def loo_cells(mask, sel):
+    """The cells of the leave-one-out problem for selector sel, Omega plus
+    the selected line, and their divisors: 1 on the line, p elsewhere."""
+    sel.validate(mask.d1, mask.d2)
+    t = sel.index(mask.d1)
+    on_row = sel.axis(mask.d1) == "row"
+    n = mask.d2 if on_row else mask.d1
+    full, span = np.full(n, t), np.arange(n)
+    line_rows, line_cols = (full, span) if on_row else (span, full)
+    off = (mask.rows if on_row else mask.cols) != t
+    cells = ObservationMask.from_cells(
+        mask.d1, mask.d2, mask.p,
+        np.concatenate((mask.rows[off], line_rows)),
+        np.concatenate((mask.cols[off], line_cols)))
+    on_line = (cells.rows if on_row else cells.cols) == t
+    return cells, np.where(on_line, 1.0, mask.p)
 
 
 def save_mask(mask, path):
@@ -183,5 +188,8 @@ def load_mask(path):
             cells = np.loadtxt(fh, dtype=np.int64, ndmin=2)
     if cells.size == 0:
         cells = np.empty((0, 2), dtype=np.int64)
+    elif cells.shape[1] != 2:
+        raise ValueError(f"mask cell lines in {path} must hold two integers "
+                         f"'i j', found {cells.shape[1]}")
     return ObservationMask.from_cells(d1, d2, p, cells[:, 0], cells[:, 1],
                                       seed=seed)

@@ -8,9 +8,9 @@ one row or column is treated as fully observed.
 All four share one data term, a weighted least-squares sum over a set of
 cells: (1/2) sum_c R_c^2 / w_c with R = X Y.T - M*. The first three use
 the observed cells with w_c = p. Leave-one-out uses the observed cells
-together with its whole line, with w_c = 1 on the line and p elsewhere,
-which is the operator (1/p) P_{Omega minus line} + P_{line}. The ridge and
-imbalance penalties are added to that data term.
+together with its whole line, with w_c = 1 on the line and p elsewhere
+(sampling.loo_cells), which is the operator (1/p) P_{Omega minus line} +
+P_{line}. The ridge and imbalance penalties are added to that data term.
 
 The residual has two storage layouts, picked once per problem from
 d1 * d2 alone. Up to DENSE_SIZE_LIMIT entries it is a dense d1 x d2
@@ -32,7 +32,7 @@ from scipy.sparse import csr_array
 from .linalg import frobenius_norm
 from .metrics import AlignmentDegenerateError, balancing_norm, dist
 from .model import FactorPair
-from .sampling import LooSelector, ObservationMask
+from .sampling import LooSelector, loo_cells
 
 __all__ = [
     "SolverVariant",
@@ -153,7 +153,7 @@ class _Problem:
             raise ValueError(f"unknown variant {variant.tag!r}")
         div = mask.p
         if variant.tag == "leave_one_out":
-            mask, div = _loo_cells(mask, variant.sel)
+            mask, div = loo_cells(mask, variant.sel)
         self.m_norm = frobenius_norm(gt.m_star)
         if self.m_norm == 0.0:
             raise ValueError("m_star is zero; relative error undefined")
@@ -227,24 +227,6 @@ class _Problem:
             gx += 0.5 * f.x @ b
             gy -= 0.5 * f.y @ b
         return FactorPair(gx, gy)
-
-
-def _loo_cells(mask, sel):
-    """The cells of the leave-one-out problem for selector sel, Omega plus
-    the selected line, and their divisors: 1 on the line, p elsewhere."""
-    sel.validate(mask.d1, mask.d2)
-    t = sel.index(mask.d1)
-    on_row = sel.axis(mask.d1) == "row"
-    n = mask.d2 if on_row else mask.d1
-    full, span = np.full(n, t), np.arange(n)
-    line_rows, line_cols = (full, span) if on_row else (span, full)
-    off = (mask.rows if on_row else mask.cols) != t
-    cells = ObservationMask.from_cells(
-        mask.d1, mask.d2, mask.p,
-        np.concatenate((mask.rows[off], line_rows)),
-        np.concatenate((mask.cols[off], line_cols)))
-    on_line = (cells.rows if on_row else cells.cols) == t
-    return cells, np.where(on_line, 1.0, mask.p)
 
 
 def objective(f, gt, mask, variant):

@@ -1,4 +1,9 @@
-"""Truncated SVD and spectral initialization of the gradient iteration."""
+"""Truncated SVD and spectral initialization of the gradient iteration.
+
+Both starts, the plain one and the leave-one-out one, take the top-r SVD of
+the observed matrix M*[cells] / div of their weighted cell set (see
+`sampling`), scattered into a d1 x d2 matrix.
+"""
 
 from dataclasses import dataclass
 
@@ -7,7 +12,7 @@ from numpy.random import Generator, Philox
 
 from .linalg import fix_signs, full_svd
 from .model import FactorPair
-from .sampling import loo_project, project
+from .sampling import loo_cells
 
 __all__ = ["TruncatedSvd", "truncated_svd", "spectral_init", "loo_init"]
 
@@ -57,7 +62,14 @@ def _randomized_svd(m, r, seed):
     return TruncatedSvd(u[:, :r].copy(), s[:r].copy(), v[:, :r].copy())
 
 
-def _factors_from_svd(t):
+def _start(gt, cells, div, r, seed):
+    """X0 = U0 S0^1/2, Y0 = V0 S0^1/2 from the top-r SVD of the d1 x d2
+    matrix holding M*[cells] / div on the cells and 0 elsewhere."""
+    if (cells.d1, cells.d2) != (gt.d1, gt.d2):
+        raise ValueError("mask dims do not match ground truth")
+    m0 = np.zeros((cells.d1, cells.d2))
+    m0[cells.rows, cells.cols] = gt.m_star[cells.rows, cells.cols] / div
+    t = truncated_svd(m0, r, seed=seed)
     # Tiny negative values from roundoff are clamped before the square root.
     root = np.sqrt(np.maximum(t.sigma0, 0.0))
     return FactorPair(t.u0 * root, t.v0 * root)
@@ -65,19 +77,11 @@ def _factors_from_svd(t):
 
 def spectral_init(gt, mask, r, seed=0):
     """X0 = U0 S0^1/2, Y0 = V0 S0^1/2 from the top-r SVD of (1/p) P_Omega(M*)."""
-    if (mask.d1, mask.d2) != (gt.d1, gt.d2):
-        raise ValueError("mask dims do not match ground truth")
-    m0 = project(gt.m_star, mask) / mask.p
-    return _factors_from_svd(truncated_svd(m0, r, seed=seed))
+    return _start(gt, mask, mask.p, r, seed)
 
 
 def loo_init(gt, mask, r, sel, seed=0):
-    """Spectral initialization of the leave-one-out problem.
-
-    Applies the same recipe to the observed matrix whose selected row
-    (column) is fully revealed.
-    """
-    if (mask.d1, mask.d2) != (gt.d1, gt.d2):
-        raise ValueError("mask dims do not match ground truth")
-    m0 = loo_project(gt.m_star, mask, sel, mask.p) / mask.p
-    return _factors_from_svd(truncated_svd(m0, r, seed=seed))
+    """Spectral initialization of the leave-one-out problem for selector
+    sel, from (1/p) P_{Omega minus line}(M*) + P_{line}(M*): the observed
+    matrix with the selected row (column) fully revealed."""
+    return _start(gt, *loo_cells(mask, sel), r, seed)

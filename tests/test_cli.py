@@ -57,6 +57,29 @@ def test_config_file_bad_key(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("line", ["p=1.5", "d1=-5", "s=0", "tol=-1",
+                                  "trials=0", "jobs=-2"])
+def test_config_file_values_get_flag_checks(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["converge", "--config", str(cfg)])
+    assert exc.value.code == 2
+    key = line.partition("=")[0]
+    assert f"bad.cfg:1: {key}: must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--lambda=1e-4,-1e-4"],
+    ["phase", "--p-grid", "0.2,1.5"],
+    ["phase", "--r-grid", "0,2"],
+])
+def test_grid_values_get_flag_checks(argv):
+    with pytest.raises(SystemExit) as exc:
+        parse_args(argv)
+    assert exc.value.code == 2
+
+
 def test_seed_env_fallback(monkeypatch):
     monkeypatch.setenv("LRMC_SEED", "77")
     assert parse_args(["converge"]).seed == 77

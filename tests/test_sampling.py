@@ -2,13 +2,21 @@ import numpy as np
 import pytest
 
 from lrmc.sampling import (LooSelector, ObservationMask, load_mask,
-                           loo_project, project, sample_mask, save_mask)
+                           loo_cells, loo_project, project, sample_mask,
+                           save_mask)
+
+
+def _indicator(mask):
+    """Boolean d1 x d2 indicator of the mask's cells."""
+    out = np.zeros((mask.d1, mask.d2), dtype=bool)
+    out[mask.rows, mask.cols] = True
+    return out
 
 
 def test_sample_mask_full():
     mask = sample_mask(6, 4, 1.0, seed=0)
     assert mask.n_cells == 24
-    assert mask.dense().all()
+    assert _indicator(mask).all()
 
 
 def test_sample_mask_rejects_bad_rate():
@@ -50,6 +58,28 @@ def test_from_cells_rejects_bad_rate(p):
         ObservationMask.from_cells(3, 3, p, [0], [1])
 
 
+@pytest.mark.parametrize("d1,d2", [(-1, 3), (3, -1), (0, 3), (3, 0)])
+def test_from_cells_rejects_bad_dims(d1, d2):
+    with pytest.raises(ValueError, match="dimensions"):
+        ObservationMask.from_cells(d1, d2, 0.5, [], [])
+
+
+def test_load_mask_rejects_bad_dims(tmp_path):
+    path = tmp_path / "mask.txt"
+    path.write_text("-1 3 0.5 -\n")
+    with pytest.raises(ValueError, match="dimensions"):
+        load_mask(path)
+
+
+@pytest.mark.parametrize("cells", ["0 1 2\n1 0 2\n", "0\n1\n", "0 1 2\n"],
+                         ids=["three_columns", "one_column", "one_line"])
+def test_load_mask_rejects_cell_lines_not_two_integers(tmp_path, cells):
+    path = tmp_path / "mask.txt"
+    path.write_text("3 3 0.5 -\n" + cells)
+    with pytest.raises(ValueError, match="two integers"):
+        load_mask(path)
+
+
 def test_load_mask_rejects_bad_rate(tmp_path):
     for p in ("0", "1.7"):
         path = tmp_path / f"mask_{p}.txt"
@@ -58,19 +88,19 @@ def test_load_mask_rejects_bad_rate(tmp_path):
             load_mask(path)
 
 
-def test_row_and_col_access_match_dense():
+def test_row_ptr_slices_rows():
     mask = sample_mask(15, 11, 0.35, seed=3)
-    dense = mask.dense()
+    dense = _indicator(mask)
     for i in range(15):
-        assert (np.sort(mask.row_cells(i)) == np.nonzero(dense[i])[0]).all()
-    for j in range(11):
-        assert (np.sort(mask.col_cells(j)) == np.nonzero(dense[:, j])[0]).all()
+        lo, hi = mask.row_ptr[i], mask.row_ptr[i + 1]
+        assert (mask.rows[lo:hi] == i).all()
+        assert (mask.cols[lo:hi] == np.nonzero(dense[i])[0]).all()
 
 
 def test_project_matches_dense_indicator():
     mask = sample_mask(12, 9, 0.5, seed=1)
     m = np.random.default_rng(0).standard_normal((12, 9))
-    assert (project(m, mask) == m * mask.dense()).all()
+    assert (project(m, mask) == m * _indicator(mask)).all()
 
 
 def test_project_idempotent_self_adjoint():
@@ -127,6 +157,42 @@ def test_loo_project_full_mask_is_identity_up_to_p():
     mask = sample_mask(5, 4, 1.0, seed=0)
     out = loo_project(m, mask, LooSelector(2), 1.0)
     assert (out == m).all()
+
+
+def _mask_with_empty_lines():
+    """A 10 x 8 mask, p=0.3, whose row 3 and column 5 have no observed cell."""
+    dense = _indicator(sample_mask(10, 8, 0.3, seed=4))
+    dense[3, :] = False
+    dense[:, 5] = False
+    return ObservationMask.from_cells(10, 8, 0.3, *np.nonzero(dense))
+
+
+LOO_CELL_CASES = {
+    # (mask, selector l); p=0.3 is not a power of two, so (p*m)/p and m
+    # may differ in the last ulp
+    "row": (lambda: sample_mask(10, 8, 0.3, seed=4), 2),
+    "col": (lambda: sample_mask(10, 8, 0.3, seed=4), 13),
+    "empty_row": (_mask_with_empty_lines, 4),
+    "empty_col": (_mask_with_empty_lines, 16),
+    "full": (lambda: sample_mask(10, 8, 1.0, seed=5), 7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOO_CELL_CASES))
+def test_loo_cells_match_loo_project(case):
+    make_mask, l = LOO_CELL_CASES[case]
+    mask, sel = make_mask(), LooSelector(l)
+    m = np.random.default_rng(6).standard_normal((10, 8))
+    cells, div = loo_cells(mask, sel)
+    scattered = np.zeros((10, 8))
+    scattered[cells.rows, cells.cols] = m[cells.rows, cells.cols] / div
+    dense = loo_project(m, mask, sel, mask.p) / mask.p
+    assert (_indicator(cells) == (dense != 0)).all()
+    np.testing.assert_array_max_ulp(scattered, dense, maxulp=1)
+    on_row = sel.axis(10) == "row"
+    line = (cells.rows if on_row else cells.cols) == sel.index(10)
+    assert line.sum() == (8 if on_row else 10)
+    assert (div[line] == 1.0).all() and (div[~line] == mask.p).all()
 
 
 def test_mask_roundtrip(tmp_path):

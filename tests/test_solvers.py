@@ -74,6 +74,13 @@ def _fd_gradient(f, gt, mask, variant, h=1e-6):
 # Dense reference for the solver's residual operator: the residual is
 # scattered into a d1 x d2 matrix and multiplied densely.
 
+def _indicator(mask):
+    """Boolean d1 x d2 indicator of the mask's cells."""
+    out = np.zeros((mask.d1, mask.d2), dtype=bool)
+    out[mask.rows, mask.cols] = True
+    return out
+
+
 def _residual_cells(f, gt, mask):
     vals = np.einsum("ij,ij->i", f.x[mask.rows], f.y[mask.cols])
     return vals - gt.m_star[mask.rows, mask.cols]
@@ -90,13 +97,13 @@ def _loo_residual_matrix(f, gt, mask, sel):
     e = _scatter(mask, _residual_cells(f, gt, mask) / mask.p)
     t = sel.index(mask.d1)
     if sel.axis(mask.d1) == "row":
-        obs = mask.row_cells(t)
+        obs = np.nonzero(_indicator(mask)[t])[0]
         e[t, obs] *= mask.p
         unobs = np.setdiff1d(np.arange(mask.d2), obs, assume_unique=True)
         if unobs.size:
             e[t, unobs] = f.x[t] @ f.y[unobs].T - gt.m_star[t, unobs]
     else:
-        obs = mask.col_cells(t)
+        obs = np.nonzero(_indicator(mask)[:, t])[0]
         e[obs, t] *= mask.p
         unobs = np.setdiff1d(np.arange(mask.d1), obs)
         if unobs.size:
@@ -137,7 +144,7 @@ def _dense_gradient(f, gt, mask, variant):
 
 def _mask_with_empty_lines():
     """A 10 x 8 mask whose row 3 and column 5 have no observed cell."""
-    full = sample_mask(10, 8, 0.6, seed=1).dense()
+    full = _indicator(sample_mask(10, 8, 0.6, seed=1))
     full[3, :] = False
     full[:, 5] = False
     rows, cols = np.nonzero(full)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from lrmc.experiments import gen_ground_truth
+from lrmc.diagnostics import default_selectors
+from lrmc.experiments import derive_seed, gen_ground_truth
 from lrmc.linalg import full_svd
+from lrmc.model import FactorPair
 from lrmc.sampling import LooSelector, loo_project, sample_mask
+from lrmc.solvers import SolverConfig, SolverVariant, run
 from lrmc.spectral import loo_init, spectral_init, truncated_svd
 
 
@@ -88,3 +91,26 @@ def test_loo_init_full_observation_equals_plain_init():
     plain = spectral_init(gt, mask, 2)
     loo = loo_init(gt, mask, 2, LooSelector(3))
     assert (plain.x == loo.x).all() and (plain.y == loo.y).all()
+
+
+def test_loo_init_matches_loo_project_start_on_headline_instance():
+    # The 160x100, r=5 headline instance (master seed 1) at p=0.2, which
+    # is not a power of two: the dense start divides p * m by p on the
+    # line, the cell-set start takes m itself, so the two may differ by
+    # rounding but must give the same runs.
+    gt = gen_ground_truth(160, 100, 5, 1.0, derive_seed(1, (0, 0), "VGD", 0))
+    mask = sample_mask(160, 100, 0.2, derive_seed(1, (1, 0), "VGD", 0))
+    iterations = []
+    for sel in default_selectors(160, 100):
+        t = truncated_svd(loo_project(gt.m_star, mask, sel, 0.2) / 0.2, 5)
+        root = np.sqrt(t.sigma0)
+        dense = FactorPair(t.u0 * root, t.v0 * root)
+        f0 = loo_init(gt, mask, 5, sel)
+        assert np.max(np.abs(f0.x - dense.x)) <= 1e-13
+        assert np.max(np.abs(f0.y - dense.y)) <= 1e-13
+        cfg = SolverConfig(variant=SolverVariant.leave_one_out(sel), step=0.5)
+        runs = [run(gt, mask, cfg, f) for f in (f0, dense)]
+        assert [r.status for r in runs] == ["converged", "converged"]
+        assert runs[0].iterations == runs[1].iterations
+        iterations.append(runs[0].iterations)
+    assert iterations == [784, 786, 786, 788, 780, 786, 785, 723]
