@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import diagnostics, experiments, svgplot
 from .sampling import sample_mask
-from .solvers import SolverConfig, SolverVariant, run
+from .solvers import DIVERGENCE_REL_ERR, SolverConfig, SolverVariant, run
 from .spectral import spectral_init
 
 __all__ = ["parse_args", "dispatch", "main"]
@@ -198,7 +198,7 @@ def dispatch(ns):
 def _run_converge(ns, spec, out):
     rows = experiments.run_convergence(spec, csv_path=out / "convergence.csv")
     diverged = sorted({r["algorithm"] for r in rows
-                       if not (float(r["rel_err"]) <= 1e6)})
+                       if not float(r["rel_err"]) <= DIVERGENCE_REL_ERR})
     experiments.write_summary(out / "summary.json", spec, {
         "rows": len(rows), "diverged_algorithms": diverged})
     if ns.verbose:

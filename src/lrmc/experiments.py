@@ -12,13 +12,14 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
+from functools import partial
 
 import numpy as np
 
 from .linalg import full_svd
 from .metrics import incoherence
 from .model import GroundTruth
-from .sampling import sample_mask
+from .sampling import _check_rate, sample_mask
 from .solvers import SolverConfig, SolverVariant, run
 from .spectral import spectral_init
 
@@ -58,6 +59,12 @@ class ExperimentSpec:
     jobs: int = 1
 
     def __post_init__(self):
+        if self.d1 < 1 or self.d2 < 1:
+            raise ValueError(f"dimensions ({self.d1}, {self.d2}) must be >= 1")
+        if self.r < 1 or any(r < 1 for r in self.r_grid):
+            raise ValueError("r and every r_grid entry must be >= 1")
+        for p in (self.p,) + tuple(self.p_grid):
+            _check_rate(p)
         for name, grid in (("p_grid", self.p_grid), ("r_grid", self.r_grid)):
             if grid and any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
@@ -185,37 +192,49 @@ def run_convergence(spec, csv_path=None, compute_dist=True, record_every=1):
     return rows
 
 
-def _phase_trial(args):
-    (d1, d2, kappa, step, max_iters, algorithm, lam,
-     p, r, seed_gt, seed_mask) = args
-    gt = gen_ground_truth(d1, d2, r, kappa, seed_gt)
-    mask = sample_mask(d1, d2, p, seed_mask)
+def _trial(spec, algorithm, lam, r, p, seed_gt, seed_mask, trial):
+    """One solve to relative error SUCCESS_REL_ERR on a fresh instance.
+
+    The clock covers spectral initialization plus the iterations; instance
+    generation is excluded. Success is a run that ends converged.
+    """
+    gt = gen_ground_truth(spec.d1, spec.d2, r, spec.kappa, seed_gt)
+    mask = sample_mask(spec.d1, spec.d2, p, seed_mask)
+    t0 = time.perf_counter()
     init = spectral_init(gt, mask, r)
-    cfg = SolverConfig(variant=_variant_for(algorithm, lam), step=step,
-                       max_iters=max_iters, tol=SUCCESS_REL_ERR,
-                       record_every=max_iters)
+    cfg = SolverConfig(variant=_variant_for(algorithm, lam), step=spec.step,
+                       max_iters=spec.max_iters, tol=SUCCESS_REL_ERR,
+                       record_every=spec.max_iters)
+    res = run(gt, mask, cfg, init)
+    elapsed = time.perf_counter() - t0
+    return TrialResult(algorithm=algorithm, lam=lam, trial=trial,
+                       seed=seed_gt, status=res.status,
+                       iterations=res.iterations,
+                       terminal_rel_err=res.trace.relative_error[-1],
+                       seconds_to_target=(elapsed if res.status == "converged"
+                                          else None))
+
+
+def _phase_trial(task):
     # Low-p, high-r cells are underdetermined by design; any other warning
     # from a trial reaches the user.
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="underdetermined",
                                 category=UserWarning)
-        res = run(gt, mask, cfg, init)
-    rel = res.trace.relative_error[-1]
-    return res.status == "converged" and rel < SUCCESS_REL_ERR
+        return task()
 
 
-def run_phase(spec, algorithm=None, lam=None, csv_path=None,
-              contour_csv_path=None):
-    """Monte Carlo success rates over the (p, r) grid for one algorithm.
+def run_phase(spec, csv_path=None, contour_csv_path=None):
+    """Monte Carlo success rates over the (p, r) grid for one algorithm:
+    the first of spec.algorithms, with RGD at the last of spec.lambdas.
 
     Each trial draws a fresh target and mask. Success means terminal
     relative error below 1e-8 within the iteration cap.
     """
     if not spec.p_grid or not spec.r_grid:
         raise ValueError("phase experiment needs p_grid and r_grid")
-    algorithm = algorithm or spec.algorithms[0]
-    if algorithm == "RGD" and lam is None:
-        lam = spec.lambdas[-1]
+    algorithm = spec.algorithms[0]
+    lam = spec.lambdas[-1] if algorithm == "RGD" else None
     tasks = []
     for ri, r in enumerate(spec.r_grid):
         for pi, p in enumerate(spec.p_grid):
@@ -224,21 +243,17 @@ def run_phase(spec, algorithm=None, lam=None, csv_path=None,
                                       algorithm, trial)
                 seed_mask = derive_seed(spec.master_seed, (3, ri, pi, trial),
                                         algorithm, trial)
-                tasks.append((spec.d1, spec.d2, spec.kappa, spec.step,
-                              spec.max_iters, algorithm, lam, p, r,
-                              seed_gt, seed_mask))
+                tasks.append(partial(_trial, spec, algorithm, lam, r, p,
+                                     seed_gt, seed_mask, trial))
     if spec.jobs > 1:
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            outcomes = list(pool.map(_phase_trial, tasks, chunksize=4))
+            records = list(pool.map(_phase_trial, tasks, chunksize=4))
     else:
-        outcomes = [_phase_trial(t) for t in tasks]
+        records = [_phase_trial(t) for t in tasks]
 
-    successes = np.zeros((len(spec.r_grid), len(spec.p_grid)), dtype=np.int64)
-    idx = 0
-    for ri in range(len(spec.r_grid)):
-        for pi in range(len(spec.p_grid)):
-            successes[ri, pi] = sum(outcomes[idx:idx + spec.trials])
-            idx += spec.trials
+    converged = np.array([t.status == "converged" for t in records])
+    successes = converged.reshape(len(spec.r_grid), len(spec.p_grid),
+                                  spec.trials).sum(axis=2, dtype=np.int64)
     grid = PhaseGrid(p_values=tuple(spec.p_grid), r_values=tuple(spec.r_grid),
                      trials=spec.trials, successes=successes)
     if csv_path is not None:
@@ -286,26 +301,6 @@ def extract_contour(grid):
     return out
 
 
-def _timing_trial(args):
-    (d1, d2, kappa, step, max_iters, algorithm, lam, p, r,
-     seed_gt, seed_mask, trial) = args
-    gt = gen_ground_truth(d1, d2, r, kappa, seed_gt)
-    mask = sample_mask(d1, d2, p, seed_mask)
-    t0 = time.perf_counter()
-    init = spectral_init(gt, mask, r)
-    cfg = SolverConfig(variant=_variant_for(algorithm, lam), step=step,
-                       max_iters=max_iters, tol=SUCCESS_REL_ERR,
-                       record_every=max_iters)
-    res = run(gt, mask, cfg, init)
-    elapsed = time.perf_counter() - t0
-    rel = res.trace.relative_error[-1]
-    ok = res.status == "converged" and rel < SUCCESS_REL_ERR
-    return TrialResult(algorithm=algorithm, lam=lam, trial=trial,
-                       seed=seed_gt, status=res.status,
-                       iterations=res.iterations, terminal_rel_err=rel,
-                       seconds_to_target=elapsed if ok else None)
-
-
 def run_timing(spec, csv_path=None):
     """Wall time per algorithm to reach relative error 1e-8.
 
@@ -319,9 +314,8 @@ def run_timing(spec, csv_path=None):
         seed_gt = derive_seed(spec.master_seed, (4, trial), "VGD", 0)
         seed_mask = derive_seed(spec.master_seed, (5, trial), "VGD", 0)
         for alg, lam in _alg_lam_list(spec):
-            results[(alg, lam)].append(_timing_trial(
-                (spec.d1, spec.d2, spec.kappa, spec.step, spec.max_iters,
-                 alg, lam, spec.p, spec.r, seed_gt, seed_mask, trial)))
+            results[(alg, lam)].append(_trial(
+                spec, alg, lam, spec.r, spec.p, seed_gt, seed_mask, trial))
     rows = []
     for (alg, lam), trials in results.items():
         ok = [t.seconds_to_target for t in trials

@@ -125,13 +125,13 @@ class _Problem:
     """The problem (gt, mask, variant) bound once, evaluated per iterate.
 
     The variant's cells and per-cell divisors are fixed at bind time (see
-    the module docstring). One evaluation of an iterate computes the
-    residual X Y.T - M* and writes it, divided by the divisors on the
-    cells and zero elsewhere, into a matrix S; objective and gradient both
-    read it, the objective as (1/2) <residual, S> and the data gradient as
-    (S Y, S.T X). With a fully observed mask the leave-one-out cells are
-    the mask's and every divisor is 1, so it is the balancing problem
-    bitwise.
+    the module docstring). One evaluation of an iterate, `load`, computes
+    the residual X Y.T - M* and its relative error, and writes the
+    residual, divided by the divisors on the cells and zero elsewhere, into
+    a matrix S; objective and gradient both read it, the objective as
+    (1/2) <residual, S> and the data gradient as (S Y, S.T X). With a
+    fully observed mask the leave-one-out cells are the mask's and every
+    divisor is 1, so it is the balancing problem bitwise.
 
     Which layout holds the residual and S is chosen from d1 * d2:
 
@@ -176,28 +176,22 @@ class _Problem:
             self.a_star = -(gt.u_star * gt.sigma_star)
             self.b_star = gt.v_star
         self.st = self.s.T  # shares the storage of self.s
-        self.f = None
 
-    def _load(self, f):
-        """Evaluate the residual at f, unless f is the iterate last loaded."""
-        if f is self.f:
-            return
+    def load(self, f):
+        """Evaluate the residual at f and return its relative error.
+
+        objective() and gradient() then read the iterate loaded last.
+        """
+        self.f = f
         if self.dense:
             np.matmul(f.x, f.y.T, out=self.resid)
             self.resid -= self.m_star
-            self.rel = math.sqrt(np.vdot(self.resid, self.resid)) / self.m_norm
             np.multiply(self.resid, self.w, out=self.s)
-        else:
-            self.resid = np.einsum("ij,ij->i", f.x.take(self.rows, 0),
-                                   f.y.take(self.cols, 0))
-            self.resid -= self.m_obs
-            np.divide(self.resid, self.div, out=self.s_vals)
-        self.f = f
-
-    def relative_error(self, f):
-        if self.dense:
-            self._load(f)
-            return self.rel
+            return math.sqrt(np.vdot(self.resid, self.resid)) / self.m_norm
+        self.resid = np.einsum("ij,ij->i", f.x.take(self.rows, 0),
+                               f.y.take(self.cols, 0))
+        self.resid -= self.m_obs
+        np.divide(self.resid, self.div, out=self.s_vals)
         a = np.empty((f.x.shape[0], f.r + self.a_star.shape[1]), order="F")
         a[:, :f.r] = f.x
         a[:, f.r:] = self.a_star
@@ -205,8 +199,8 @@ class _Problem:
         b = np.hstack((f.y, self.b_star))
         return frobenius_norm(b @ r_a.T) / self.m_norm
 
-    def objective(self, f):
-        self._load(f)
+    def objective(self):
+        f = self.f
         val = 0.5 * float(np.vdot(self.resid, self.s_vals))
         if self.lam is not None:
             val += 0.5 * self.lam * (float(np.sum(f.x * f.x))
@@ -215,8 +209,8 @@ class _Problem:
             val += 0.125 * balancing_norm(f) ** 2
         return val
 
-    def gradient(self, f):
-        self._load(f)
+    def gradient(self):
+        f = self.f
         gx = self.s @ f.y
         gy = self.st @ f.x
         if self.lam is not None:
@@ -232,13 +226,17 @@ class _Problem:
 def objective(f, gt, mask, variant):
     """Evaluate the selected objective at the factor pair f."""
     _check_shapes(f, gt, mask)
-    return _Problem(gt, mask, variant).objective(f)
+    problem = _Problem(gt, mask, variant)
+    problem.load(f)
+    return problem.objective()
 
 
 def gradient(f, gt, mask, variant):
     """Gradient of the selected objective, as a FactorPair."""
     _check_shapes(f, gt, mask)
-    return _Problem(gt, mask, variant).gradient(f)
+    problem = _Problem(gt, mask, variant)
+    problem.load(f)
+    return problem.gradient()
 
 
 def step(f, g, s):
@@ -259,7 +257,9 @@ def run(gt, mask, config, init):
     """Gradient descent from `init` until the relative error drops below
     config.tol, the iteration cap is hit, or the run diverges.
 
-    Deterministic for fixed inputs (the seconds column aside).
+    The trace holds every record_every-th iterate and the terminal one,
+    whose index is `iterations`. Deterministic for fixed inputs (the
+    seconds column aside).
     """
     _check_shapes(init, gt, mask)
     if not (np.all(np.isfinite(init.x)) and np.all(np.isfinite(init.y))):
@@ -275,15 +275,13 @@ def run(gt, mask, config, init):
     trace = IterateTrace()
     factors = [] if config.store_factors else None
     f = init
-    status = "max_iters"
-    iterations = config.max_iters
     t0 = time.perf_counter()
 
-    def record(k, rel, obj_val):
+    def record(k, rel):
         trace.k.append(k)
         trace.relative_error.append(rel)
         trace.balancing_norm.append(balancing_norm(f))
-        trace.objective.append(obj_val)
+        trace.objective.append(problem.objective())
         if config.compute_dist:
             try:
                 d = dist(f, f_star)
@@ -299,22 +297,19 @@ def run(gt, mask, config, init):
     # overflow and invalid-value warnings are not raised here.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.max_iters + 1):
-            rel = problem.relative_error(f)
-            if k % config.record_every == 0 or k == config.max_iters:
-                record(k, rel, problem.objective(f))
-            if not np.isfinite(rel) or rel > DIVERGENCE_REL_ERR:
-                status, iterations = "diverged", k
+            rel = problem.load(f)
+            if not rel <= DIVERGENCE_REL_ERR:  # nan included
+                status = "diverged"
+            elif rel < config.tol:
+                status = "converged"
+            elif k == config.max_iters:
+                status = "max_iters"
+            else:
+                status = None
+            if status or k % config.record_every == 0:
+                record(k, rel)
+            if status:
                 break
-            if rel < config.tol:
-                status, iterations = "converged", k
-                break
-            if k == config.max_iters:
-                break
-            f = step(f, problem.gradient(f), config.step)
-
-        # Make sure the terminal iterate is always on the trace.
-        if trace.k[-1] != min(iterations, config.max_iters):
-            record(min(iterations, config.max_iters),
-                   problem.relative_error(f), problem.objective(f))
-    return RunResult(final=f, trace=trace, status=status,
-                     iterations=iterations, factors=factors)
+            f = step(f, problem.gradient(), config.step)
+    return RunResult(final=f, trace=trace, status=status, iterations=k,
+                     factors=factors)

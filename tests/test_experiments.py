@@ -20,6 +20,13 @@ def test_spec_validation():
         ExperimentSpec(d1=10, d2=8, r=2, trials=0)
     with pytest.raises(ValueError):
         ExperimentSpec(d1=10, d2=8, r=2, algorithms=("VGD", "XGD"))
+    for bad in (dict(d1=0), dict(d2=-3), dict(r=0), dict(p=0.0),
+                dict(p=1.5), dict(p=float("nan")), dict(p_grid=(0.5, 1.2)),
+                dict(p_grid=(0.0, 0.5)), dict(r_grid=(0, 2))):
+        with pytest.raises(ValueError):
+            ExperimentSpec(**{"d1": 10, "d2": 8, "r": 2, **bad})
+    # phase ignores spec.r, so r is not checked against the dimensions
+    ExperimentSpec(d1=1, d2=1, r=5, p=1.0, p_grid=(0.1, 1.0), r_grid=(1,))
 
 
 def test_derive_seed_deterministic_and_spread():
@@ -124,6 +131,16 @@ def test_run_phase_small_grid(tmp_path):
     assert [r["r"] for r in crows] == ["2", "6"]
 
 
+def test_run_phase_success_grid_pinned():
+    # A 2 x 3 grid with counts that differ from cell to cell, so that the
+    # trials are summed in (r, p, trial) order.
+    spec = ExperimentSpec(d1=20, d2=16, r=2, kappa=1.0, step=0.5,
+                          trials=3, master_seed=5, max_iters=400,
+                          p_grid=(0.25, 0.4, 0.7), r_grid=(2, 4),
+                          algorithms=("VGD",))
+    assert run_phase(spec).successes.tolist() == [[0, 1, 2], [0, 0, 2]]
+
+
 def test_run_phase_same_result_across_jobs(tmp_path):
     spec = ExperimentSpec(d1=20, d2=16, r=2, kappa=1.0, step=0.5,
                           trials=2, master_seed=3, max_iters=600,
@@ -185,6 +202,13 @@ def test_run_timing_empty_cell():
     rows = run_timing(spec)
     assert rows[0]["n_ok"] == 0
     assert rows[0]["mean_s"] == "" and rows[0]["median_s"] == ""
+
+
+def test_run_timing_passes_underdetermined_warning():
+    spec = ExperimentSpec(d1=20, d2=16, r=6, p=0.2, step=0.5, trials=1,
+                          max_iters=5, algorithms=("VGD",))
+    with pytest.warns(UserWarning, match="underdetermined"):
+        run_timing(spec)
 
 
 def test_write_summary(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -366,6 +368,35 @@ def test_run_records_terminal_iterate(instance):
     res = run(gt, mask, cfg, init)
     assert res.trace.k[-1] == 157
     assert res.status == "max_iters"
+
+
+# Settings that end a run on the instance below in each of its three ways,
+# at iterations 213, 2 and 157, none a multiple of the recording stride 7.
+ENDINGS = {
+    "converged": dict(step=0.5, tol=1e-10),
+    "diverged": dict(step=50.0, max_iters=200),
+    "max_iters": dict(step=0.5, max_iters=157, tol=1e-30),
+}
+
+
+@pytest.mark.parametrize(
+    "ending,layout", _in_both_layouts(list(ENDINGS), list(ENDINGS)),
+    indirect=["layout"])
+def test_run_records_terminal_iterate_once_off_stride(ending, layout):
+    gt = gen_ground_truth(24, 18, 2, 2.0, seed=3)
+    mask = sample_mask(24, 18, 0.5, seed=4)
+    cfg = SolverConfig(variant=SolverVariant.vanilla(), record_every=7,
+                       compute_dist=True, store_factors=True,
+                       **ENDINGS[ending])
+    res = run(gt, mask, cfg, spectral_init(gt, mask, 2))
+    tr = res.trace
+    assert res.status == ending and res.iterations % 7 != 0
+    assert {len(getattr(tr, fld.name))
+            for fld in dataclasses.fields(tr)} == {len(tr.k)}
+    assert len(res.factors) == len(tr.k)
+    assert res.iterations == tr.k[-1]
+    assert tr.k == list(range(0, res.iterations, 7)) + [res.iterations]
+    assert res.factors[-1] is res.final
 
 
 def test_run_deterministic(instance):
