@@ -266,6 +266,9 @@ def _run_theory(ns, spec, out):
         "balancing_drift_ok": drift.drift_ok})
     if ns.verbose:
         print(f"wrote {out / 'hypothesis.csv'}")
+    if main.status == "diverged":
+        print("lrmc: diverged: main", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -6,15 +6,18 @@ rescalings between the factors. The GL alignment is a damped Newton solve
 on r x r Grams around the Procrustes point, so each step costs O(r^3)
 whatever the factor sizes. `dist` reports the GL residual, which never
 exceeds the Procrustes one.
+
+`_align_stack` aligns K iterates, as (K, d1, r) and (K, d2, r) stacks,
+with one target in batched numpy calls; `gl_align` and `dist` are its K = 1
+calls. An item's result does not depend on the rest of its stack, bit for
+bit, so a trajectory aligned in chunks matches `dist` on each iterate.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dposv
 
-from .linalg import frobenius_norm, full_svd
-from .model import FactorPair
+from .linalg import frobenius_norm
 
 __all__ = [
     "AlignmentDegenerateError",
@@ -52,163 +55,200 @@ def relative_error(f, m_star):
     return frobenius_norm(f.product() - m_star) / denom
 
 
+def _dot(u, v):
+    """<U, V> for each item of (..., m, n) stacks."""
+    return (u * v).sum(axis=(-2, -1))
+
+
+def _each(fn, out, *stacks):
+    """out = fn(*stacks) over (..., m, n) stacks, batched; where LAPACK
+    rejects an item, item by item, leaving nan there. Returns out."""
+    try:
+        out[...] = fn(*stacks)
+    except np.linalg.LinAlgError:
+        for j in np.ndindex(out.shape[:-2]):
+            try:
+                out[j] = fn(*(m[j] for m in stacks))
+            except np.linalg.LinAlgError:
+                out[j] = np.nan
+    return out
+
+
+def _procrustes(x, y, x_t, y_t):
+    """Procrustes rotations O of (K, d1, r), (K, d2, r) stacks, and the
+    residual sqrt(||X O - X*||^2 + ||Y O - Y*||^2) with its two blocks. O is
+    nan where X^T X* + Y^T Y* is not finite: LAPACK's SVD can hang on inf."""
+    c = x.swapaxes(1, 2) @ x_t + y.swapaxes(1, 2) @ y_t
+    bad = ~np.isfinite(c).all(axis=(1, 2))[:, None, None]
+    u, _, vt = np.linalg.svd(np.where(bad, 0.0, c))
+    o = np.where(bad, np.nan, u @ vt)
+    ex, ey = x @ o - x_t, y @ o - y_t
+    return o, np.sqrt(_dot(ex, ex) + _dot(ey, ey)), ex, ey
+
+
 def procrustes_align(f, target):
     """Best orthogonal O minimizing ||F O - F_target||_F."""
     if f.r != target.r:
         raise ValueError("rank mismatch between factor pairs")
-    a = f.stacked()
-    b = target.stacked()
-    u, _, v = full_svd(a.T @ b)
-    o = u @ v.T
-    residual = frobenius_norm(a @ o - b)
-    return AlignmentResult(matrix=o, residual=residual, converged=True)
-
-
-def _inv_t(q):
-    """Q^-T, or None when Q is singular."""
-    _, _, p, info = dgesv(q.T, np.eye(q.shape[0]))
-    return p if info == 0 else None
-
-
-def _gl_residual(q, x, y, x_t, y_t):
-    """sqrt(||XQ - X*||_F^2 + ||Y Q^-T - Y*||_F^2), on the d x r factors."""
-    p = _inv_t(q)
-    if p is None:
-        return np.inf
-    rx = x @ q - x_t
-    ry = y @ p - y_t
-    return float(np.sqrt(np.sum(rx * rx) + np.sum(ry * ry)))
+    o, res, _, _ = _procrustes(f.x[None], f.y[None], target.x, target.y)
+    return AlignmentResult(matrix=o[0], residual=float(res[0]),
+                           converged=True)
 
 
 def _gl_offset(o, a, b, xe, yf, d):
-    """(P, H, off, mag) at Q = O + D: P = Q^-T, H = P - O = -P D^T O and
+    """(P, H, off, mag) at Q = O + D, per item of (..., r, r) stacks:
+    P = Q^-T, H = P - O = -P D^T O and
 
         off = 2<X^T E, D> + <D, A D> + 2<Y^T F, H> + <H, B H>,
 
     which the objective exceeds ||E||^2 + ||F||^2 by (O^-T = O), written
     with no large norm to cancel. `mag` is the sum of the four terms'
-    magnitudes, the scale of off's rounding. off is inf when Q is singular.
+    magnitudes, the scale of off's rounding. off is nan where Q is singular.
     """
-    p = _inv_t(o + d)
-    if p is None:
-        return None, None, np.inf, 0.0
-    h = -p @ d.T @ o
-    terms = (2.0 * np.vdot(xe, d), np.vdot(d, a @ d),
-             2.0 * np.vdot(yf, h), np.vdot(h, b @ h))
+    p = _each(np.linalg.inv, np.empty_like(d), (o + d).swapaxes(-1, -2))
+    h = -p @ d.swapaxes(-1, -2) @ o
+    terms = (2.0 * _dot(xe, d), _dot(d, a @ d), 2.0 * _dot(yf, h),
+             _dot(h, b @ h))
     return p, h, sum(terms), sum(map(abs, terms))
 
 
 def _gl_derivatives(a, b, xe, yf, d, p, h):
-    """Half the gradient (r x r) and half the Hessian (r^2 x r^2, row-major
-    vec) of the objective at Q = O + D, with P, H from `_gl_offset`."""
-    r = d.shape[0]
-    s = p @ (yf + b @ h).T @ p
+    """Half the gradient (..., r, r) and half the Hessian (..., r^2, r^2),
+    row-major vec, of the objective at Q = O + D, with P, H from
+    `_gl_offset`."""
+    r = d.shape[-1]
+    pt = p.swapaxes(-1, -2)
+    s = p @ (yf + b @ h).swapaxes(-1, -2) @ p
     grad = xe + a @ d - s
     # hess[i, k, j, l] = d grad[i, k] / d Q[j, l]
     #   = A[i, j] I[k, l] + (P P^T)[i, j] (P^T B P)[k, l]
-    #     + P[i, l] S[j, k] + S[i, l] P[j, k].
-    # The last two terms are the outer product P (x) S indexed
-    # [(i, l), (j, k)] plus its transpose.
-    kron = np.multiply.outer(a, np.eye(r)) + np.multiply.outer(p @ p.T,
-                                                              p.T @ b @ p)
-    swap = np.multiply.outer(p, s).reshape(r * r, r * r)
-    swap = (swap + swap.T).reshape(r, r, r, r)
-    hess = kron.transpose(0, 2, 1, 3) + swap.transpose(0, 3, 2, 1)
-    return grad, hess.reshape(r * r, r * r)
+    #     + P[i, l] S[j, k] + S[i, l] P[j, k]: four outer products.
+    hess = (np.einsum("...ij,kl->...ikjl", a, np.eye(r))
+            + np.einsum("...ij,...kl->...ikjl", p @ pt, pt @ b @ p)
+            + np.einsum("...il,...jk->...ikjl", p, s)
+            + np.einsum("...il,...jk->...ikjl", s, p))
+    return grad, hess.reshape(*hess.shape[:-4], r * r, r * r)
 
 
 def _gl_newton(o, a, b, xe, yf):
     """Damped Newton for min ||XQ - X*||^2 + ||Y Q^-T - Y*||^2 over Q = O + D.
 
-    `o` is the Procrustes rotation, `a`, `b` the Grams X^T X, Y^T Y and
-    `xe`, `yf` the cross terms X^T E, Y^T F with E = X O - X*,
-    F = Y O - Y*. Steps start at D = 0, cost O(r^3) plus a Cholesky solve
-    with the r^2 x r^2 Hessian, and are compared by `_gl_offset`. A step
-    that raises the offset beyond rounding, or a Hessian that is not
-    positive definite, adds Levenberg damping mu I. Returns
-    (Q, stationary): stationary when an undamped step moved Q by at most
-    STATIONARY_STEP relative.
-    """
-    n = o.size
-    scale = np.trace(a) + np.trace(b)
+    On (..., r, r) stacks of the Procrustes rotation O, the Grams X^T X,
+    Y^T Y and the cross terms X^T E, Y^T F (E = X O - X*, F = Y O - Y*),
+    one solve per item, each batched step over the items still iterating.
+    Steps start at D = 0 and are compared by `_gl_offset`; a rise beyond
+    rounding, or a Hessian not positive definite, adds damping mu I to that
+    item. Returns (Q, stationary): stationary where an undamped step moved
+    Q by at most STATIONARY_STEP relative."""
+    shape, r = o.shape, o.shape[-1]
+    o3, a, b, xe, yf = (m.reshape(-1, r, r) for m in (o, a, b, xe, yf))
+    scale = np.trace(a, axis1=1, axis2=2) + np.trace(b, axis1=1, axis2=2)
     # An overflowed iterate: no step can be measured on non-finite Grams.
-    if not (np.isfinite(scale) and np.isfinite(xe).all()
-            and np.isfinite(yf).all()):
-        return o, False
-    eye_n = np.eye(n)
-    mu_min, mu_max = 1e-6 * scale, 1e16 * scale
-    # Each offset sums four inner products of n terms, each exact to a few
+    act = np.flatnonzero(np.isfinite(scale) & np.isfinite(xe).all(axis=(1, 2))
+                         & np.isfinite(yf).all(axis=(1, 2)))
+    q, stationary = o3.copy(), np.zeros(len(o3), dtype=bool)
+    if not act.size:
+        return o, stationary.reshape(shape[:-2])
+    o3, a, b, xe, yf, scale = (m[act] for m in (o3, a, b, xe, yf, scale))
+    mu_min, mu_max, eye_n = 1e-6 * scale, 1e16 * scale, np.eye(r * r)
+    # Each offset sums four inner products of r^2 terms, each exact to a few
     # ulps of its own magnitude: a rise below that is rounding, not ascent.
-    rounding = 4 * n * np.finfo(np.float64).eps
-
-    d = np.zeros_like(o)
-    p, h = o, d
-    off = mag = mu = 0.0
+    rounding = 4 * r * r * np.finfo(np.float64).eps
+    d, h, p = np.zeros_like(o3), np.zeros_like(o3), o3.copy()
+    off, mag, mu = np.zeros((3, len(act)))
     for _ in range(NEWTON_MAX_STEPS):
         grad, hess = _gl_derivatives(a, b, xe, yf, d, p, h)
-        while True:
-            _, step, info = dposv(hess + mu * eye_n, -grad.ravel())
-            if info == 0:
-                d_new = d + step.reshape(o.shape)
-                p_new, h_new, off_new, mag_new = _gl_offset(o, a, b, xe, yf,
-                                                            d_new)
-                if off_new <= off + rounding * (mag + mag_new):
-                    break
-            mu = max(4.0 * mu, mu_min)
-            if not mu <= mu_max:
-                return o + d, False
-        q = o + d_new
-        if mu == 0.0 and (np.vdot(step, step)
-                          <= STATIONARY_STEP ** 2 * np.vdot(q, q)):
-            return q, True
-        d, p, h, off, mag = d_new, p_new, h_new, off_new, mag_new
-        mu = mu / 4.0 if mu >= 4.0 * mu_min else 0.0
-    return o + d, False
+        rhs = -grad.reshape(-1, r * r, 1)
+        # Trials cover every item still iterating; an item keeps the first
+        # trial it accepts, or quits once its damping passes mu_max.
+        new, todo, quit = None, np.ones_like(mu, bool), np.zeros_like(mu, bool)
+        while todo.any():
+            sys = hess + mu[:, None, None] * eye_n
+            pd = np.isfinite(_each(np.linalg.cholesky, sys.copy(), sys))
+            step = _each(np.linalg.solve, np.empty_like(rhs), sys, rhs)
+            d_new = d + step.reshape(d.shape)
+            trial = (step, d_new, o3 + d_new) + _gl_offset(o3, a, b, xe, yf,
+                                                           d_new)
+            take = todo & pd.all(axis=(1, 2)) & (
+                trial[5] <= off + rounding * (mag + trial[6]))
+            for v, t in zip(new or (), trial):
+                v[take] = t[take]
+            new, todo = new or list(trial), todo & ~take
+            if todo.any():
+                mu[todo] = np.maximum(4.0 * mu[todo], mu_min[todo])
+                quit |= todo & ~(mu <= mu_max)
+                todo &= ~quit
+        step, d_new, q_new, p, h, off, mag = new
+        done = ~quit & (mu == 0.0) & (
+            _dot(step, step) <= STATIONARY_STEP ** 2 * _dot(q_new, q_new))
+        if quit.any():
+            q[act[quit]] = (o3 + d)[quit]
+        q[act[done]], stationary[act[done]] = q_new[done], True
+        if mu.any():
+            mu = np.where(mu >= 4.0 * mu_min, mu / 4.0, 0.0)
+        d, keep = d_new, ~(quit | done)
+        if not keep.any():
+            break
+        if not keep.all():
+            act, o3, a, b, xe, yf, mu_min, mu_max, d, p, h, off, mag, mu = (
+                m[keep] for m in (act, o3, a, b, xe, yf, mu_min, mu_max, d,
+                                  p, h, off, mag, mu))
+    else:
+        q[act] = o3 + d
+    return q.reshape(shape), stationary.reshape(shape[:-2])
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def gl_align(f, target):
-    """Minimize ||XQ - X*||^2 + ||Y Q^-T - Y*||^2 over invertible Q.
-
-    A damped Newton solve on r x r Grams around the Procrustes point: it
-    starts at the Procrustes rotation O and steps on Q = O + D using only
-    X^T X, Y^T Y, X^T (X O - X*) and Y^T (Y O - Y*), built once per call.
-    The Newton point and O are compared by their d x r residual, so the
-    result never exceeds the Procrustes residual. `converged` means the
-    solve ended at a stationary point (an undamped Newton step on a
-    positive definite Hessian that barely moved Q) and the chosen Q is well
-    conditioned. Overflow on diverged factors is not reported as a
-    warning: it makes a candidate non-finite, and a pair with no finite
-    candidate raises AlignmentDegenerateError.
+def _align_stack(x, y, target):
+    """`gl_align` on K iterates, x (K, d1, r) and y (K, d2, r), with one
+    target, the Grams and cross terms built once. Returns (Q, O, residual,
+    converged), Q and O the (K, r, r) GL and Procrustes alignments. A
+    degenerate item (non-finite or rank-deficient factors, or no finite
+    candidate) gets a nan Q and residual, unconverged; nothing is raised.
     """
+    x_t, y_t = target.x, target.y
+    # sigma_min from the factors: a Gram cannot resolve sigma below about
+    # 1e-8 sigma_max, and RANK_DEFICIENCY_TOL is a singular value.
+    ok = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(y).all(axis=(1, 2))
+    for m in (x, y):
+        ok[ok] = m[0].size and np.linalg.svd(
+            m[ok], compute_uv=False)[:, -1] > RANK_DEFICIENCY_TOL
+    o, rp, ex, ey = _procrustes(x, y, x_t, y_t)
+    i = slice(None) if ok.all() else np.flatnonzero(ok)
+    xs, ys, os = x[i], y[i], o[i]
+    xst, yst = xs.swapaxes(1, 2), ys.swapaxes(1, 2)
+    qn, stationary = _gl_newton(os, xst @ xs, yst @ ys, xst @ ex[i],
+                                yst @ ey[i])
+    pn = _each(np.linalg.inv, np.empty_like(qn), qn.swapaxes(1, 2))
+    rx, ry = xs @ qn - x_t, ys @ pn - y_t
+    rn = np.sqrt(_dot(rx, rx) + _dot(ry, ry))
+    # Candidates are compared by residual, the Procrustes one as computed,
+    # so the result is exactly at most it. Ties go to the Newton point.
+    newton = np.isfinite(rn) & ~(rn > rp[i])
+    res, q = np.full(len(x), np.nan), np.full_like(o, np.nan)
+    res[i], q[i] = np.where(newton, rn, rp[i]), np.where(newton[:, None, None],
+                                                         qn, os)
+    fin, converged = np.isfinite(res), np.zeros(len(x), dtype=bool)
+    res[~fin], q[~fin], converged[i] = np.nan, np.nan, stationary
+    converged[fin] &= np.linalg.svd(q[fin], compute_uv=False)[:, -1] > 1e-8
+    return q, o, res, converged
+
+
+def gl_align(f, target):
+    """Minimize ||XQ - X*||^2 + ||Y Q^-T - Y*||^2 over invertible Q: the
+    K = 1 call of `_align_stack`, never above the Procrustes residual.
+    `converged` means the solve ended at a stationary point (an undamped
+    Newton step on a positive definite Hessian that barely moved Q) and the
+    chosen Q is well conditioned. A rank-deficient pair, or one with no
+    finite candidate, raises AlignmentDegenerateError."""
     if f.r != target.r:
         raise ValueError("rank mismatch between factor pairs")
-    smin_x = np.linalg.svd(f.x, compute_uv=False)[-1] if f.x.size else 0.0
-    smin_y = np.linalg.svd(f.y, compute_uv=False)[-1] if f.y.size else 0.0
-    if min(smin_x, smin_y) <= RANK_DEFICIENCY_TOL:
+    q, _, res, converged = _align_stack(f.x[None], f.y[None], target)
+    if np.isnan(res[0]):
         raise AlignmentDegenerateError(
-            f"factor smallest singular value {min(smin_x, smin_y):.3e} below "
-            f"{RANK_DEFICIENCY_TOL}")
-
-    pro = procrustes_align(f, target)
-    o = pro.matrix
-    x, y = f.x, f.y
-    x_t, y_t = target.x, target.y
-    q, stationary = _gl_newton(o, x.T @ x, y.T @ y, x.T @ (x @ o - x_t),
-                               y.T @ (y @ o - y_t))
-
-    # Candidates are compared by residual, with the Procrustes one as
-    # computed rather than squared and rooted again, so that the result is
-    # exactly at most the Procrustes residual.
-    candidates = [(_gl_residual(q, x, y, x_t, y_t), q), (pro.residual, o)]
-    candidates = [(v, c) for v, c in candidates if np.isfinite(v)]
-    if not candidates:
-        raise AlignmentDegenerateError(
-            "no alignment candidate has a finite residual")
-    residual, q = min(candidates, key=lambda vc: vc[0])
-    converged = bool(stationary
-                     and np.linalg.svd(q, compute_uv=False)[-1] > 1e-8)
-    return AlignmentResult(matrix=q, residual=residual, converged=converged)
+            "factor pair rank-deficient or with no finite alignment residual")
+    return AlignmentResult(matrix=q[0], residual=float(res[0]),
+                           converged=bool(converged[0]))
 
 
 def dist(f, target):

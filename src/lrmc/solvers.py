@@ -30,7 +30,7 @@ from scipy.linalg.lapack import dgeqrf
 from scipy.sparse import csr_array
 
 from .linalg import frobenius_norm
-from .metrics import AlignmentDegenerateError, balancing_norm, dist
+from .metrics import _align_stack, balancing_norm
 from .model import FactorPair
 from .sampling import LooSelector, loo_cells
 
@@ -50,6 +50,12 @@ DIVERGENCE_REL_ERR = 1e6
 # above it, on the cells only (see the module docstring). The crossover
 # measured at one BLAS thread lies between 6e4 and 2e5 entries.
 DENSE_SIZE_LIMIT = 1 << 17
+# With compute_dist, recorded iterates are aligned this many at a time, in
+# one stacked call (metrics._align_stack). On the 160x100 r=5 headline VGD
+# run (1 BLAS thread) chunks of 16, 32 and 64 align its 787 iterates in
+# 0.14, 0.13 and 0.13 s, against about 1 s in single calls; the chunk
+# buffers stay small.
+DIST_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -102,7 +108,13 @@ class SolverConfig:
 
 @dataclass
 class IterateTrace:
-    """Per recorded iteration metrics; `seconds` is cumulative wall clock."""
+    """Per recorded iteration metrics.
+
+    `seconds` is the solver's cumulative wall clock, with the time spent
+    aligning for `dist_to_truth` left out, so it means the same with and
+    without compute_dist. `dist_to_truth` is computed in chunks of
+    DIST_CHUNK recorded iterates, and once more for the rest at the end.
+    """
 
     k: list = field(default_factory=list)
     relative_error: list = field(default_factory=list)
@@ -275,20 +287,34 @@ def run(gt, mask, config, init):
     trace = IterateTrace()
     factors = [] if config.store_factors else None
     f = init
+    if config.compute_dist:
+        buf_x = np.empty((DIST_CHUNK, gt.d1, init.r))
+        buf_y = np.empty((DIST_CHUNK, gt.d2, init.r))
+    held = 0          # recorded iterates waiting in the buffers
+    aligning = 0.0    # seconds spent on dist, left out of trace.seconds
     t0 = time.perf_counter()
 
+    def align():
+        # A degenerate iterate gets a nan residual.
+        nonlocal held
+        _, _, res, _ = _align_stack(buf_x[:held], buf_y[:held], f_star)
+        trace.dist_to_truth.extend(res.tolist())
+        held = 0
+
     def record(k, rel):
+        nonlocal held, aligning
         trace.k.append(k)
         trace.relative_error.append(rel)
         trace.balancing_norm.append(balancing_norm(f))
         trace.objective.append(problem.objective())
         if config.compute_dist:
-            try:
-                d = dist(f, f_star)
-            except AlignmentDegenerateError:
-                d = float("nan")
-            trace.dist_to_truth.append(d)
-        trace.seconds.append(time.perf_counter() - t0)
+            t = time.perf_counter()
+            buf_x[held], buf_y[held] = f.x, f.y
+            held += 1
+            if held == DIST_CHUNK:
+                align()
+            aligning += time.perf_counter() - t
+        trace.seconds.append(time.perf_counter() - t0 - aligning)
         if factors is not None:
             factors.append(f)
 
@@ -311,5 +337,7 @@ def run(gt, mask, config, init):
             if status:
                 break
             f = step(f, problem.gradient(), config.step)
+    if held:
+        align()
     return RunResult(final=f, trace=trace, status=status, iterations=k,
                      factors=factors)

@@ -193,6 +193,23 @@ def test_theory_without_selectors(tmp_path):
     assert clauses == {"a", "d", "e"}
 
 
+def test_theory_divergence_exits_1_without_runtime_warning(tmp_path,
+                                                          capsys):
+    argv = ["theory", "--d1", "30", "--d2", "20", "--r", "2", "--p", "0.5",
+            "--s", "1e200", "--max-iters", "50", "--out", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 1
+    assert "lrmc: diverged: main" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["aggregates"]["status"] == "diverged"
+    with open(tmp_path / "hypothesis.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {r["clause"] for r in rows} == {"a", "b", "c", "d", "e"}
+    assert all(r["satisfied"] == "0" for r in rows
+               if not np.isfinite(float(r["lhs"])))
+
+
 def test_plot_lines_and_heatmap(tmp_path):
     out = tmp_path / "exp"
     assert main(["converge", *SMALL, "--algs", "VGD",

@@ -149,3 +149,22 @@ def test_hypothesis_full_observation_collapse():
         assert r.lhs < 1e-10
     e0 = rep.clause_rows("e")[0]
     assert e0.k == 0 and e0.lhs <= e0.rhs
+
+
+def test_hypothesis_rows_with_nonfinite_lhs_are_unevaluable():
+    # A diverged run overflows: its rows are reported, not failed, and the
+    # check raises no numpy RuntimeWarning.
+    import warnings
+    gt = gen_ground_truth(30, 20, 2, 1.0, seed=0)
+    mask = sample_mask(30, 20, 0.5, seed=1)
+    cfg = SolverConfig(variant=SolverVariant.vanilla(), step=1e200,
+                       max_iters=50, compute_dist=True, store_factors=True)
+    main = run(gt, mask, cfg, spectral_init(gt, mask, 2))
+    loo = run_loo_family(gt, mask, cfg, default_selectors(30, 20, 1, 1))
+    assert main.status == "diverged"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = hypothesis_check(main, loo, gt, s=1e200, p=0.5)
+    bad = [r for r in rep.rows if not np.isfinite(r.lhs)]
+    assert bad and not any(r.evaluable or r.satisfied for r in bad)
+    assert {r.clause for r in bad} >= {"d", "e"}

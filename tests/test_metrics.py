@@ -9,10 +9,10 @@ from scipy.optimize import minimize
 
 import lrmc
 from lrmc.experiments import derive_seed, gen_ground_truth
-from lrmc.metrics import (AlignmentDegenerateError, _gl_derivatives,
-                          _gl_newton, _gl_offset, balancing_norm, dist,
-                          gl_align, incoherence, procrustes_align,
-                          relative_error)
+from lrmc.metrics import (AlignmentDegenerateError, _align_stack,
+                          _gl_derivatives, _gl_newton, _gl_offset,
+                          balancing_norm, dist, gl_align, incoherence,
+                          procrustes_align, relative_error)
 from lrmc.model import FactorPair
 from lrmc.sampling import sample_mask
 from lrmc.solvers import SolverConfig, SolverVariant, run
@@ -231,6 +231,43 @@ def test_gl_align_nonfinite_factors_raise_degenerate():
     nan = np.full((2, 2), np.nan)
     q, stationary = _gl_newton(o, nan, nan, nan, nan)
     assert q is o and not stationary
+
+
+def test_align_stack_items_match_their_single_calls():
+    # One chunk mixing regular iterates with the degenerate and overflowing
+    # pairs of the tests above: every item equals its own K = 1 call bit for
+    # bit, the degenerate ones are nan, and no RuntimeWarning is raised.
+    gt = gen_ground_truth(10, 8, 2, 1.0, seed=3)
+    target = gt.optimal_pair()
+    rng = np.random.default_rng(4)
+    huge = FactorPair(1e200 * rng.standard_normal((10, 2)),
+                      1e200 * rng.standard_normal((8, 2)))
+    pairs = [FactorPair(target.x + 0.1 * rng.standard_normal((10, 2)),
+                        target.y + 0.1 * rng.standard_normal((8, 2)))
+             for _ in range(3)]
+    pairs.insert(1, FactorPair(np.zeros((10, 2)), np.ones((8, 2))))
+    pairs.insert(3, huge)
+    pairs.append(FactorPair(huge.x * 1e-50, huge.y * 1e-50))
+    pairs.append(FactorPair(np.full((10, 2), np.inf), target.y))
+    degenerate = [False, True, False, True, False, False, True]
+    x = np.stack([f.x for f in pairs])
+    y = np.stack([f.y for f in pairs])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        stacked = _align_stack(x, y, target)
+        for j, f in enumerate(pairs):
+            single = _align_stack(x[j:j + 1], y[j:j + 1], target)
+            for whole, one in zip(stacked, single):
+                np.testing.assert_array_equal(whole[j], one[0])
+            assert np.isnan(stacked[2][j]) == degenerate[j]
+            if degenerate[j]:
+                assert np.isnan(stacked[0][j]).all() and not stacked[3][j]
+                with pytest.raises(AlignmentDegenerateError):
+                    gl_align(f, target)
+            else:
+                res = gl_align(f, target)
+                assert res.residual == stacked[2][j]
+                np.testing.assert_array_equal(res.matrix, stacked[0][j])
 
 
 def test_import_leaves_scipy_optimize_unloaded():

@@ -1,11 +1,13 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
 
 from lrmc import solvers
 from lrmc.experiments import derive_seed, gen_ground_truth
-from lrmc.metrics import balancing_norm, relative_error
+from lrmc.metrics import (AlignmentDegenerateError, balancing_norm, dist,
+                          relative_error)
 from lrmc.model import FactorPair
 from lrmc.sampling import LooSelector, ObservationMask, sample_mask
 from lrmc.solvers import (SolverConfig, SolverVariant, gradient, objective,
@@ -397,6 +399,64 @@ def test_run_records_terminal_iterate_once_off_stride(ending, layout):
     assert res.iterations == tr.k[-1]
     assert tr.k == list(range(0, res.iterations, 7)) + [res.iterations]
     assert res.factors[-1] is res.final
+
+
+# The endings above plus an overflowing step, whose terminal iterate has no
+# finite alignment: its dist is nan. Chunks of 5 leave a remainder in every
+# case (the record counts are 214, 32, 3, 2, 158, 24, 2 and 2).
+DIST_ENDINGS = dict(ENDINGS, overflow=dict(step=1e200, max_iters=50))
+
+
+def _dist_or_nan(f, target):
+    try:
+        return dist(f, target)
+    except AlignmentDegenerateError:
+        return float("nan")
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize(
+    "ending,layout", _in_both_layouts(list(DIST_ENDINGS), list(DIST_ENDINGS)),
+    indirect=["layout"])
+def test_run_chunked_dist_matches_dist_per_iterate(ending, layout, stride,
+                                                   monkeypatch):
+    monkeypatch.setattr(solvers, "DIST_CHUNK", 5)
+    gt = gen_ground_truth(24, 18, 2, 2.0, seed=3)
+    mask = sample_mask(24, 18, 0.5, seed=4)
+    cfg = SolverConfig(variant=SolverVariant.vanilla(), record_every=stride,
+                       compute_dist=True, store_factors=True,
+                       **DIST_ENDINGS[ending])
+    res = run(gt, mask, cfg, spectral_init(gt, mask, 2))
+    tr = res.trace
+    assert res.status == ("diverged" if ending == "overflow" else ending)
+    assert len(tr.k) % solvers.DIST_CHUNK != 0
+    assert {len(getattr(tr, fld.name))
+            for fld in dataclasses.fields(tr)} == {len(tr.k)}
+    target = gt.optimal_pair()
+    expected = [_dist_or_nan(f, target) for f in res.factors]
+    # bitwise, nan where the alignment is degenerate
+    np.testing.assert_array_equal(tr.dist_to_truth, expected)
+    assert np.isnan(tr.dist_to_truth[-1]) == (ending == "overflow")
+    assert np.isfinite(tr.dist_to_truth[:-1]).all()
+
+
+def test_run_seconds_exclude_alignment(instance, monkeypatch):
+    # Alignment made slow: seconds stay the solver's own time.
+    gt, mask = instance
+    cfg = SolverConfig(variant=SolverVariant.vanilla(), step=0.5,
+                       max_iters=20, tol=1e-30, compute_dist=True)
+    init = spectral_init(gt, mask, gt.r)
+    align = solvers._align_stack
+
+    def slow(*args):
+        time.sleep(0.05)
+        return align(*args)
+
+    monkeypatch.setattr(solvers, "_align_stack", slow)
+    monkeypatch.setattr(solvers, "DIST_CHUNK", 4)
+    tr = run(gt, mask, cfg, init).trace
+    assert len(tr.seconds) == 21 and np.isfinite(tr.dist_to_truth).all()
+    assert tr.seconds == sorted(tr.seconds) and tr.seconds[-1] < 0.1
 
 
 def test_run_deterministic(instance):
