@@ -18,6 +18,12 @@ matrix, and the one matrix X Y.T - M* per iterate gives the relative
 error, the objective and the gradient. Above the limit it lives only on
 the cells, in a CSR matrix, and the relative error comes from a QR of
 the factors; there, forming X Y.T would cost more than it saves.
+
+`run` holds the iterate in one (d1+d2) x r buffer [X; Y] and the gradient
+in a second one, and steps in place, so an iteration allocates no factor
+arrays. A FactorPair is built only at the boundaries: a copy of each
+recorded iterate when factors are stored, the final iterate, and the
+inputs and outputs of the public objective, gradient and step.
 """
 
 import math
@@ -126,6 +132,10 @@ class IterateTrace:
 
 @dataclass
 class RunResult:
+    """The outcome of `run`. `final` shares no memory with the initial
+    factors or with anything `run` keeps; it belongs to the caller. With
+    stored factors it is the last of them, the terminal iterate."""
+
     final: FactorPair
     trace: IterateTrace
     status: str  # converged | max_iters | diverged
@@ -137,11 +147,15 @@ class _Problem:
     """The problem (gt, mask, variant) bound once, evaluated per iterate.
 
     The variant's cells and per-cell divisors are fixed at bind time (see
-    the module docstring). One evaluation of an iterate, `load`, computes
-    the residual X Y.T - M* and its relative error, and writes the
+    the module docstring). One evaluation of an iterate, `load(x, y)`,
+    computes the residual X Y.T - M* and its relative error, and writes the
     residual, divided by the divisors on the cells and zero elsewhere, into
     a matrix S; objective and gradient both read it, the objective as
-    (1/2) <residual, S> and the data gradient as (S Y, S.T X). With a
+    (1/2) <residual, S> and the data gradient as (S Y, S.T X). `run` loads
+    views of its [X; Y] buffer and has `gradient(gx, gy)` write into views
+    of its gradient buffer, so no FactorPair is built per iterate; the
+    loaded x and y are the attributes a FactorPair has, so balancing_norm
+    reads the problem as the loaded pair. With a
     fully observed mask the leave-one-out cells are the mask's and every
     divisor is 1, so it is the balancing problem bitwise.
 
@@ -189,57 +203,63 @@ class _Problem:
             self.b_star = gt.v_star
         self.st = self.s.T  # shares the storage of self.s
 
-    def load(self, f):
-        """Evaluate the residual at f and return its relative error.
+    def load(self, x, y):
+        """Evaluate the residual at (x, y) and return its relative error.
 
-        objective() and gradient() then read the iterate loaded last.
+        x and y are held, not copied: objective() and gradient() read the
+        iterate loaded last, so it must not change in between.
         """
-        self.f = f
+        self.x, self.y = x, y
         if self.dense:
-            np.matmul(f.x, f.y.T, out=self.resid)
+            np.matmul(x, y.T, out=self.resid)
             self.resid -= self.m_star
             np.multiply(self.resid, self.w, out=self.s)
             return math.sqrt(np.vdot(self.resid, self.resid)) / self.m_norm
-        self.resid = np.einsum("ij,ij->i", f.x.take(self.rows, 0),
-                               f.y.take(self.cols, 0))
+        self.resid = np.einsum("ij,ij->i", x.take(self.rows, 0),
+                               y.take(self.cols, 0))
         self.resid -= self.m_obs
         np.divide(self.resid, self.div, out=self.s_vals)
-        a = np.empty((f.x.shape[0], f.r + self.a_star.shape[1]), order="F")
-        a[:, :f.r] = f.x
-        a[:, f.r:] = self.a_star
+        r = x.shape[1]
+        a = np.empty((x.shape[0], r + self.a_star.shape[1]), order="F")
+        a[:, :r] = x
+        a[:, r:] = self.a_star
         r_a = np.triu(dgeqrf(a, overwrite_a=True)[0][:min(a.shape)])
-        b = np.hstack((f.y, self.b_star))
+        b = np.hstack((y, self.b_star))
         return frobenius_norm(b @ r_a.T) / self.m_norm
 
     def objective(self):
-        f = self.f
+        x, y = self.x, self.y
         val = 0.5 * float(np.vdot(self.resid, self.s_vals))
         if self.lam is not None:
-            val += 0.5 * self.lam * (float(np.sum(f.x * f.x))
-                                     + float(np.sum(f.y * f.y)))
+            val += 0.5 * self.lam * (float(np.sum(x * x))
+                                     + float(np.sum(y * y)))
         if self.balanced:
-            val += 0.125 * balancing_norm(f) ** 2
+            val += 0.125 * balancing_norm(self) ** 2
         return val
 
-    def gradient(self):
-        f = self.f
-        gx = self.s @ f.y
-        gy = self.st @ f.x
+    def gradient(self, gx, gy):
+        """Write the gradient at the loaded iterate into gx and gy."""
+        x, y = self.x, self.y
+        if self.dense:
+            np.matmul(self.s, y, out=gx)
+            np.matmul(self.st, x, out=gy)
+        else:
+            gx[...] = self.s @ y
+            gy[...] = self.st @ x
         if self.lam is not None:
-            gx += self.lam * f.x
-            gy += self.lam * f.y
+            gx += self.lam * x
+            gy += self.lam * y
         if self.balanced:
-            b = f.x.T @ f.x - f.y.T @ f.y
-            gx += 0.5 * f.x @ b
-            gy -= 0.5 * f.y @ b
-        return FactorPair(gx, gy)
+            b = x.T @ x - y.T @ y
+            gx += 0.5 * x @ b
+            gy -= 0.5 * y @ b
 
 
 def objective(f, gt, mask, variant):
     """Evaluate the selected objective at the factor pair f."""
     _check_shapes(f, gt, mask)
     problem = _Problem(gt, mask, variant)
-    problem.load(f)
+    problem.load(f.x, f.y)
     return problem.objective()
 
 
@@ -247,8 +267,10 @@ def gradient(f, gt, mask, variant):
     """Gradient of the selected objective, as a FactorPair."""
     _check_shapes(f, gt, mask)
     problem = _Problem(gt, mask, variant)
-    problem.load(f)
-    return problem.gradient()
+    problem.load(f.x, f.y)
+    g = FactorPair(np.empty((gt.d1, f.r)), np.empty((gt.d2, f.r)))
+    problem.gradient(g.x, g.y)
+    return g
 
 
 def step(f, g, s):
@@ -286,7 +308,12 @@ def run(gt, mask, config, init):
     f_star = gt.optimal_pair()
     trace = IterateTrace()
     factors = [] if config.store_factors else None
-    f = init
+    # The iterate lives in one buffer z = [X; Y], updated in place from the
+    # gradient buffer g = [Gx; Gy]; x, y, gx and gy are views of them.
+    z = np.concatenate((init.x, init.y), dtype=np.float64)
+    g = np.empty_like(z)
+    x, y = z[:gt.d1], z[gt.d1:]
+    gx, gy = g[:gt.d1], g[gt.d1:]
     if config.compute_dist:
         buf_x = np.empty((DIST_CHUNK, gt.d1, init.r))
         buf_y = np.empty((DIST_CHUNK, gt.d2, init.r))
@@ -305,25 +332,25 @@ def run(gt, mask, config, init):
         nonlocal held, aligning
         trace.k.append(k)
         trace.relative_error.append(rel)
-        trace.balancing_norm.append(balancing_norm(f))
+        trace.balancing_norm.append(balancing_norm(problem))
         trace.objective.append(problem.objective())
         if config.compute_dist:
             t = time.perf_counter()
-            buf_x[held], buf_y[held] = f.x, f.y
+            buf_x[held], buf_y[held] = x, y
             held += 1
             if held == DIST_CHUNK:
                 align()
             aligning += time.perf_counter() - t
         trace.seconds.append(time.perf_counter() - t0 - aligning)
         if factors is not None:
-            factors.append(f)
+            factors.append(FactorPair(x.copy(), y.copy()))
 
     # A diverging iterate overflows; the non-finite relative error that
     # results is the divergence signal, reported by the status, so numpy's
     # overflow and invalid-value warnings are not raised here.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.max_iters + 1):
-            rel = problem.load(f)
+            rel = problem.load(x, y)
             if not rel <= DIVERGENCE_REL_ERR:  # nan included
                 status = "diverged"
             elif rel < config.tol:
@@ -336,8 +363,13 @@ def run(gt, mask, config, init):
                 record(k, rel)
             if status:
                 break
-            f = step(f, problem.gradient(), config.step)
+            problem.gradient(gx, gy)
+            np.multiply(g, config.step, out=g)
+            np.subtract(z, g, out=z)
     if held:
         align()
-    return RunResult(final=f, trace=trace, status=status, iterations=k,
+    # The terminal iterate is always recorded, so with stored factors
+    # final is the last of them; otherwise it is the buffer itself.
+    final = factors[-1] if factors else FactorPair(x, y)
+    return RunResult(final=final, trace=trace, status=status, iterations=k,
                      factors=factors)

@@ -5,6 +5,9 @@ from lrmc.diagnostics import (balancing_drift_check, concentration_check,
                               contraction_check, default_selectors,
                               hypothesis_check, run_loo_family)
 from lrmc.experiments import gen_ground_truth
+from lrmc.linalg import frobenius_norm
+from lrmc.metrics import procrustes_align
+from lrmc.model import FactorPair
 from lrmc.sampling import sample_mask
 from lrmc.solvers import SolverConfig, SolverVariant, run
 from lrmc.spectral import spectral_init
@@ -114,6 +117,49 @@ def test_hypothesis_clause_d_follows_contraction(small_theory_run):
     rep = hypothesis_check(main, loo, gt, s=0.5, p=0.5)
     if contraction.all_satisfied:
         assert all(r.satisfied for r in rep.clause_rows("d"))
+
+
+def _loo_clauses_one_at_a_time(main, loo, gt):
+    """Clauses (b) and (c) with one procrustes_align call per selector and
+    k, the reference for the stacked alignments of hypothesis_check."""
+    f_star = gt.optimal_pair()
+    star = f_star.stacked()
+    out = {}
+    for i, k in enumerate(main.trace.k):
+        if not all(k in res.trace.k for res in loo.results.values()):
+            continue
+        f = main.factors[i]
+        aligned = f.stacked() @ procrustes_align(f, f_star).matrix
+        target = FactorPair(aligned[:gt.d1], aligned[gt.d1:])
+        lhs_b = lhs_c = 0.0
+        for sel in loo.selectors:
+            res = loo.results[sel.l]
+            f_l = res.factors[res.trace.k.index(k)]
+            o_l = procrustes_align(f_l, f_star).matrix
+            row = (f_l.stacked() @ o_l - star)[sel.l - 1]
+            lhs_b = np.maximum(lhs_b, np.linalg.norm(row))
+            r_l = procrustes_align(f_l, target).matrix
+            lhs_c = np.maximum(lhs_c, frobenius_norm(
+                aligned - f_l.stacked() @ r_l))
+        out[k, "b"], out[k, "c"] = float(lhs_b), float(lhs_c)
+    return out
+
+
+def test_hypothesis_loo_clauses_match_single_alignments():
+    # The runs end at different iterations off the stride, so only some of
+    # the main run's k are shared by the whole family.
+    gt = gen_ground_truth(30, 20, 3, 1.0, seed=0)
+    mask = sample_mask(30, 20, 0.5, seed=1)
+    cfg = SolverConfig(variant=SolverVariant.vanilla(), step=0.5,
+                       max_iters=400, tol=1e-10, record_every=20,
+                       compute_dist=True, store_factors=True)
+    main = run(gt, mask, cfg, spectral_init(gt, mask, 3))
+    loo = run_loo_family(gt, mask, cfg, default_selectors(30, 20, 2, 2))
+    rep = hypothesis_check(main, loo, gt, s=0.5, p=0.5)
+    got = {(r.k, r.clause): r.lhs for r in rep.rows if r.clause in "bc"}
+    expected = _loo_clauses_one_at_a_time(main, loo, gt)
+    assert 0 < len(expected) < 2 * len(main.trace.k)
+    assert got == expected  # bitwise
 
 
 def test_hypothesis_csv_roundtrip(small_theory_run, tmp_path):

@@ -513,3 +513,95 @@ def test_loo_objective_reduces_to_balancing_at_full_observation():
     a = objective(f, gt, mask, SolverVariant.balancing())
     b = objective(f, gt, mask, SolverVariant.leave_one_out(5))
     assert a == pytest.approx(b, rel=1e-12)
+
+
+# The four variants, with a ridge weight small enough that the regularized
+# run also reaches the tolerance of the converged ending below.
+BITWISE_VARIANTS = [SolverVariant.vanilla(), SolverVariant.regularized(1e-9),
+                    SolverVariant.balancing(), SolverVariant.leave_one_out(3),
+                    SolverVariant.leave_one_out(30)]
+BITWISE_ENDINGS = {
+    "converged": dict(step=0.5, tol=1e-8),
+    "diverged": dict(step=50.0, max_iters=200),
+    "max_iters": dict(step=0.5, max_iters=40, tol=1e-30),
+}
+
+
+def _bits(f):
+    return f.x.tobytes(), f.y.tobytes()
+
+
+@pytest.mark.parametrize("ending", list(BITWISE_ENDINGS))
+@pytest.mark.parametrize(
+    "variant,layout",
+    _in_both_layouts(BITWISE_VARIANTS, map(_variant_id, BITWISE_VARIANTS)),
+    indirect=["layout"])
+def test_run_iterates_are_bitwise_public_steps(variant, layout, ending):
+    # The in-place loop takes exactly the step the public functions take.
+    gt = gen_ground_truth(24, 18, 2, 2.0, seed=3)
+    mask = sample_mask(24, 18, 0.5, seed=4)
+    cfg = SolverConfig(variant=variant, store_factors=True,
+                       **BITWISE_ENDINGS[ending])
+    init = spectral_init(gt, mask, 2)
+    res = run(gt, mask, cfg, init)
+    assert res.status == ending
+    assert len(res.factors) == res.iterations + 1
+    assert _bits(res.factors[0]) == _bits(init)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f, nxt in zip(res.factors, res.factors[1:]):
+            expected = step(f, gradient(f, gt, mask, variant), cfg.step)
+            assert _bits(nxt) == _bits(expected)
+
+
+@pytest.mark.parametrize("layout", list(LAYOUT_LIMITS), indirect=True)
+def test_run_leaves_init_alone_and_returns_unshared_factors(layout):
+    gt = gen_ground_truth(24, 18, 2, 2.0, seed=3)
+    mask = sample_mask(24, 18, 0.5, seed=4)
+    init = spectral_init(gt, mask, 2)
+    before = _bits(init)
+    cfg = SolverConfig(variant=SolverVariant.balancing(), step=0.5,
+                       max_iters=20, tol=1e-30, compute_dist=True,
+                       store_factors=True)
+    res = run(gt, mask, cfg, init)
+    assert _bits(init) == before
+    arrays = [init.x, init.y] + [a for f in res.factors for a in (f.x, f.y)]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+    assert res.factors[-1] is res.final
+
+    res = run(gt, mask, dataclasses.replace(cfg, store_factors=False), init)
+    assert _bits(init) == before
+    assert _bits(res.final) == _bits(FactorPair(*arrays[-2:]))
+    for a in (init.x, init.y):
+        assert not np.shares_memory(res.final.x, a)
+        assert not np.shares_memory(res.final.y, a)
+
+
+@pytest.mark.parametrize("store", [False, True])
+@pytest.mark.parametrize("layout", list(LAYOUT_LIMITS), indirect=True)
+def test_run_builds_factor_pairs_only_at_the_boundaries(layout, store,
+                                                        monkeypatch):
+    # The count of FactorPair constructions in a run does not grow with the
+    # number of iterations, only with the number of recorded iterates.
+    gt = gen_ground_truth(24, 18, 2, 2.0, seed=3)
+    mask = sample_mask(24, 18, 0.5, seed=4)
+    init = spectral_init(gt, mask, 2)
+    built = []
+    check = FactorPair.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(FactorPair, "__post_init__", counting)
+    counts = []
+    for max_iters in (50, 500):
+        cfg = SolverConfig(variant=SolverVariant.vanilla(), step=0.5,
+                           max_iters=max_iters, tol=1e-30,
+                           record_every=max_iters, store_factors=store)
+        built.clear()
+        res = run(gt, mask, cfg, init)
+        assert res.status == "max_iters" and len(res.trace.k) == 2
+        counts.append(len(built))
+    assert counts[0] == counts[1] <= 4
