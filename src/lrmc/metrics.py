@@ -3,9 +3,16 @@
 Two alignments are exposed: the orthogonal (Procrustes) rotation and the
 best invertible alignment over GL(r) that also absorbs diagonal
 rescalings between the factors. The GL alignment is a damped Newton solve
-on r x r Grams around the Procrustes point, so each step costs O(r^3)
-whatever the factor sizes. `dist` reports the GL residual, which never
-exceeds the Procrustes one.
+on r x r Grams, so each step costs O(r^3) whatever the factor sizes.
+`dist` reports the GL residual, which never exceeds the Procrustes one.
+
+The solve starts from the one-sided least-squares alignment
+Q_x = (X^T X)^-1 X^T X* where that is better than the Procrustes rotation
+O, and from O otherwise. Vanilla gradient descent keeps the imbalance
+X^T X - Y^T Y small but not zero, so it converges to (X* G, Y* G^-T) with
+G invertible and not orthogonal: O stays a fixed distance from the GL
+optimum however small `dist` gets, while Q_x is within the noise of it.
+When the factors are balanced, G is near orthogonal and O is close too.
 
 `_align_stack` aligns K iterates, as (K, d1, r) and (K, d2, r) stacks,
 with one target in batched numpy calls; `gl_align` and `dist` are its K = 1
@@ -136,10 +143,14 @@ def _gl_newton(o, a, b, xe, yf):
     On (..., r, r) stacks of the Procrustes rotation O, the Grams X^T X,
     Y^T Y and the cross terms X^T E, Y^T F (E = X O - X*, F = Y O - Y*),
     one solve per item, each batched step over the items still iterating.
-    Steps start at D = 0 and are compared by `_gl_offset`; a rise beyond
-    rounding, or a Hessian not positive definite, adds damping mu I to that
-    item. Returns (Q, stationary): stationary where an undamped step moved
-    Q by at most STATIONARY_STEP relative."""
+    An item starts from the least-squares Q_x = A^-1 X^T X*, that is
+    D = -A^-1 X^T E with A = X^T X (one stacked r x r solve), where that is
+    strictly better than O (`_gl_offset` below 0), and at D = 0 otherwise:
+    on vanilla trajectories O stays a fixed distance from the optimum.
+    Steps are compared by `_gl_offset`; a rise beyond rounding, or a
+    Hessian not positive definite, adds damping mu I to that item. Returns
+    (Q, stationary): stationary where an undamped step moved Q by at most
+    STATIONARY_STEP relative."""
     shape, r = o.shape, o.shape[-1]
     o3, a, b, xe, yf = (m.reshape(-1, r, r) for m in (o, a, b, xe, yf))
     scale = np.trace(a, axis1=1, axis2=2) + np.trace(b, axis1=1, axis2=2)
@@ -156,6 +167,11 @@ def _gl_newton(o, a, b, xe, yf):
     rounding = 4 * r * r * np.finfo(np.float64).eps
     d, h, p = np.zeros_like(o3), np.zeros_like(o3), o3.copy()
     off, mag, mu = np.zeros((3, len(act)))
+    d0 = -_each(np.linalg.solve, np.empty_like(xe), a, xe)
+    p0, h0, off0, mag0 = _gl_offset(o3, a, b, xe, yf, d0)
+    use = off0 < 0.0
+    for v, v0 in zip((d, p, h, off, mag), (d0, p0, h0, off0, mag0)):
+        v[use] = v0[use]
     for _ in range(NEWTON_MAX_STEPS):
         grad, hess = _gl_derivatives(a, b, xe, yf, d, p, h)
         rhs = -grad.reshape(-1, r * r, 1)
@@ -201,18 +217,23 @@ def _gl_newton(o, a, b, xe, yf):
 @np.errstate(over="ignore", invalid="ignore")
 def _align_stack(x, y, target):
     """`gl_align` on K iterates, x (K, d1, r) and y (K, d2, r), with one
-    target, the Grams and cross terms built once. Returns (Q, O, residual,
+    target, the Grams and cross terms built once. The Newton solve starts
+    from the least-squares Q_x = (X^T X)^-1 X^T X* where Q_x beats the
+    Procrustes rotation O (on vanilla trajectories, where O stays far from
+    the optimum), and from O elsewhere. Returns (Q, O, residual,
     converged), Q and O the (K, r, r) GL and Procrustes alignments. A
     degenerate item (non-finite or rank-deficient factors, or no finite
     candidate) gets a nan Q and residual, unconverged; nothing is raised.
     """
     x_t, y_t = target.x, target.y
-    # sigma_min from the factors: a Gram cannot resolve sigma below about
-    # 1e-8 sigma_max, and RANK_DEFICIENCY_TOL is a singular value.
+    # sigma_min from the factors, through the r x r triangle of a QR: a
+    # Gram cannot resolve sigma below about 1e-8 sigma_max, and
+    # RANK_DEFICIENCY_TOL is a singular value.
     ok = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(y).all(axis=(1, 2))
     for m in (x, y):
         ok[ok] = m[0].size and np.linalg.svd(
-            m[ok], compute_uv=False)[:, -1] > RANK_DEFICIENCY_TOL
+            np.linalg.qr(m[ok], mode="r"),
+            compute_uv=False)[:, -1] > RANK_DEFICIENCY_TOL
     o, rp, ex, ey = _procrustes(x, y, x_t, y_t)
     i = slice(None) if ok.all() else np.flatnonzero(ok)
     xs, ys, os = x[i], y[i], o[i]

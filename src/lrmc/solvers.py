@@ -58,9 +58,9 @@ DIVERGENCE_REL_ERR = 1e6
 DENSE_SIZE_LIMIT = 1 << 17
 # With compute_dist, recorded iterates are aligned this many at a time, in
 # one stacked call (metrics._align_stack). On the 160x100 r=5 headline VGD
-# run (1 BLAS thread) chunks of 16, 32 and 64 align its 787 iterates in
-# 0.14, 0.13 and 0.13 s, against about 1 s in single calls; the chunk
-# buffers stay small.
+# run (1 BLAS thread, 3 runs) chunks of 16, 32 and 64 align its 787
+# iterates in 82-94, 79-80 and 72-75 ms, against 0.43-0.55 s in single
+# calls; the chunk buffers stay small.
 DIST_CHUNK = 32
 
 
@@ -141,6 +141,11 @@ class RunResult:
     status: str  # converged | max_iters | diverged
     iterations: int
     factors: list | None = None  # recorded iterates when requested
+    # Where the solve's wall clock went: seconds_record in `record` (the
+    # trace metrics, stored factors and, with compute_dist, every chunked
+    # alignment), seconds_loop in the rest, the iterations themselves.
+    seconds_loop: float = 0.0
+    seconds_record: float = 0.0
 
 
 class _Problem:
@@ -227,14 +232,16 @@ class _Problem:
         b = np.hstack((y, self.b_star))
         return frobenius_norm(b @ r_a.T) / self.m_norm
 
-    def objective(self):
+    def objective(self, bal=None):
+        """The objective at the loaded iterate; `bal`, when given, is its
+        balancing_norm, so a caller that has it is not made to redo it."""
         x, y = self.x, self.y
         val = 0.5 * float(np.vdot(self.resid, self.s_vals))
         if self.lam is not None:
             val += 0.5 * self.lam * (float(np.sum(x * x))
                                      + float(np.sum(y * y)))
         if self.balanced:
-            val += 0.125 * balancing_norm(self) ** 2
+            val += 0.125 * (balancing_norm(self) if bal is None else bal) ** 2
         return val
 
     def gradient(self, gx, gy):
@@ -319,31 +326,34 @@ def run(gt, mask, config, init):
         buf_y = np.empty((DIST_CHUNK, gt.d2, init.r))
     held = 0          # recorded iterates waiting in the buffers
     aligning = 0.0    # seconds spent on dist, left out of trace.seconds
+    recording = 0.0   # seconds spent in record
     t0 = time.perf_counter()
 
-    def align():
-        # A degenerate iterate gets a nan residual.
-        nonlocal held
-        _, _, res, _ = _align_stack(buf_x[:held], buf_y[:held], f_star)
-        trace.dist_to_truth.extend(res.tolist())
-        held = 0
-
-    def record(k, rel):
-        nonlocal held, aligning
+    def record(k, rel, last):
+        # The terminal iterate (last) also aligns what the buffers hold.
+        nonlocal held, aligning, recording
+        t_in = time.perf_counter()
         trace.k.append(k)
         trace.relative_error.append(rel)
-        trace.balancing_norm.append(balancing_norm(problem))
-        trace.objective.append(problem.objective())
+        bal = balancing_norm(problem)
+        trace.balancing_norm.append(bal)
+        trace.objective.append(problem.objective(bal))
+        if factors is not None:
+            factors.append(FactorPair(x.copy(), y.copy()))
         if config.compute_dist:
             t = time.perf_counter()
             buf_x[held], buf_y[held] = x, y
             held += 1
-            if held == DIST_CHUNK:
-                align()
+            if held == DIST_CHUNK or last:
+                # A degenerate iterate gets a nan residual.
+                _, _, res, _ = _align_stack(buf_x[:held], buf_y[:held],
+                                            f_star)
+                trace.dist_to_truth.extend(res.tolist())
+                held = 0
             aligning += time.perf_counter() - t
-        trace.seconds.append(time.perf_counter() - t0 - aligning)
-        if factors is not None:
-            factors.append(FactorPair(x.copy(), y.copy()))
+        t = time.perf_counter()
+        trace.seconds.append(t - t0 - aligning)
+        recording += t - t_in
 
     # A diverging iterate overflows; the non-finite relative error that
     # results is the divergence signal, reported by the status, so numpy's
@@ -360,16 +370,16 @@ def run(gt, mask, config, init):
             else:
                 status = None
             if status or k % config.record_every == 0:
-                record(k, rel)
+                record(k, rel, status is not None)
             if status:
                 break
             problem.gradient(gx, gy)
             np.multiply(g, config.step, out=g)
             np.subtract(z, g, out=z)
-    if held:
-        align()
+    seconds = time.perf_counter() - t0
     # The terminal iterate is always recorded, so with stored factors
     # final is the last of them; otherwise it is the buffer itself.
     final = factors[-1] if factors else FactorPair(x, y)
     return RunResult(final=final, trace=trace, status=status, iterations=k,
-                     factors=factors)
+                     factors=factors, seconds_loop=seconds - recording,
+                     seconds_record=recording)

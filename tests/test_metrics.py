@@ -8,11 +8,12 @@ import pytest
 from scipy.optimize import minimize
 
 import lrmc
+from lrmc import metrics
 from lrmc.experiments import derive_seed, gen_ground_truth
-from lrmc.metrics import (AlignmentDegenerateError, _align_stack,
-                          _gl_derivatives, _gl_newton, _gl_offset,
-                          balancing_norm, dist, gl_align, incoherence,
-                          procrustes_align, relative_error)
+from lrmc.metrics import (RANK_DEFICIENCY_TOL, AlignmentDegenerateError,
+                          _align_stack, _gl_derivatives, _gl_newton,
+                          _gl_offset, balancing_norm, dist, gl_align,
+                          incoherence, procrustes_align, relative_error)
 from lrmc.model import FactorPair
 from lrmc.sampling import sample_mask
 from lrmc.solvers import SolverConfig, SolverVariant, run
@@ -162,6 +163,58 @@ def test_gl_align_converged_on_every_headline_iterate(headline_factors):
     for name, factors in runs.items():
         flags = [gl_align(f, target).converged for f in factors]
         assert all(flags), (name, [k for k, ok in enumerate(flags) if not ok])
+
+
+def test_gl_align_starts_near_an_unbalanced_optimum(monkeypatch):
+    # Gradient descent converges to (X* G, Y* G^-T) with G invertible but
+    # not orthogonal, far from the Procrustes rotation; from the
+    # least-squares start the solve is converged within two Newton steps.
+    gt = gen_ground_truth(40, 30, 3, 1.0, seed=12)
+    target = gt.optimal_pair()
+    rng = np.random.default_rng(13)
+    g = np.diag([3.0, 1.0, 0.4]) + 0.5 * np.triu(np.ones((3, 3)), 1)
+    f = FactorPair(target.x @ g + 1e-6 * rng.standard_normal((40, 3)),
+                   target.y @ np.linalg.inv(g).T
+                   + 1e-6 * rng.standard_normal((30, 3)))
+    assert procrustes_align(f, target).residual > 0.5
+    steps = []
+    derivatives = metrics._gl_derivatives
+
+    def counted(*args):
+        steps.append(args)
+        return derivatives(*args)
+
+    monkeypatch.setattr(metrics, "_gl_derivatives", counted)
+    res = gl_align(f, target)
+    assert res.converged and len(steps) <= 2
+    assert res.residual <= _oracle_residual(f, target) + 1e-15
+
+
+def test_align_stack_rank_check_matches_dense_svd():
+    # sigma_min of 1e-9 and 1e-11 straddle RANK_DEFICIENCY_TOL; the stacked
+    # check flags exactly the items a dense SVD of the factors would.
+    rng = np.random.default_rng(14)
+    gt = gen_ground_truth(12, 9, 3, 1.0, seed=15)
+    target = gt.optimal_pair()
+
+    def with_sigma_min(d, smin):
+        u, _ = np.linalg.qr(rng.standard_normal((d, 3)))
+        v, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        return u @ np.diag([2.0, 1.0, smin]) @ v.T
+
+    pairs = [(sx, sy) for sx in (0.5, 1e-9, 1e-11)
+             for sy in (0.5, 1e-9, 1e-11)]
+    x = np.stack([with_sigma_min(12, sx) for sx, _ in pairs])
+    y = np.stack([with_sigma_min(9, sy) for _, sy in pairs])
+    dense = [np.linalg.svd(m, compute_uv=False)[:, -1] > RANK_DEFICIENCY_TOL
+             for m in (x, y)]
+    expected = ~(dense[0] & dense[1])
+    assert expected.tolist() == [sx == 1e-11 or sy == 1e-11
+                                 for sx, sy in pairs]
+    q, _, res, converged = _align_stack(x, y, target)
+    np.testing.assert_array_equal(np.isnan(res), expected)
+    assert np.isnan(q[expected]).all() and not converged[expected].any()
+    assert np.isfinite(q[~expected]).all()
 
 
 def test_gl_derivatives_match_finite_differences():

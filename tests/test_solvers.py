@@ -459,6 +459,50 @@ def test_run_seconds_exclude_alignment(instance, monkeypatch):
     assert tr.seconds == sorted(tr.seconds) and tr.seconds[-1] < 0.1
 
 
+def test_run_splits_its_time_between_loop_and_record(instance, monkeypatch):
+    # Alignment made slow: it lands in seconds_record, not seconds_loop.
+    gt, mask = instance
+    cfg = SolverConfig(variant=SolverVariant.vanilla(), step=0.5,
+                       max_iters=20, tol=1e-30, compute_dist=True)
+    init = spectral_init(gt, mask, gt.r)
+    align = solvers._align_stack
+
+    def slow(*args):
+        time.sleep(0.05)
+        return align(*args)
+
+    monkeypatch.setattr(solvers, "_align_stack", slow)
+    monkeypatch.setattr(solvers, "DIST_CHUNK", 4)
+    t = time.perf_counter()
+    res = run(gt, mask, cfg, init)
+    wall = time.perf_counter() - t
+    # six alignments: five full chunks and the terminal one
+    assert res.seconds_record >= 0.3 and 0.0 < res.seconds_loop < 0.1
+    assert res.seconds_loop + res.seconds_record <= wall
+    assert res.trace.seconds[-1] <= res.seconds_loop + res.seconds_record
+
+
+def test_run_computes_balancing_norm_once_per_record(instance, monkeypatch):
+    gt, mask = instance
+    cfg = SolverConfig(variant=SolverVariant.balancing(), step=0.5,
+                       max_iters=30, tol=1e-30, record_every=3,
+                       store_factors=True)
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return balancing_norm(f)
+
+    monkeypatch.setattr(solvers, "balancing_norm", counted)
+    res = run(gt, mask, cfg, spectral_init(gt, mask, gt.r))
+    assert len(calls) == len(res.trace.k) == 11
+    monkeypatch.undo()
+    assert res.trace.balancing_norm == [balancing_norm(f)
+                                        for f in res.factors]
+    assert res.trace.objective == [objective(f, gt, mask, cfg.variant)
+                                   for f in res.factors]
+
+
 def test_run_deterministic(instance):
     gt, mask = instance
     init = spectral_init(gt, mask, gt.r)
