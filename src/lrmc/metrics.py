@@ -3,7 +3,7 @@
 Two alignments are exposed: the orthogonal (Procrustes) rotation and the
 best invertible alignment over GL(r) that also absorbs diagonal
 rescalings between the factors. The GL alignment is a damped Newton solve
-on r x r Grams, so each step costs O(r^3) whatever the factor sizes.
+on r x r Grams, each step an r^2 x r^2 system whatever the factor sizes.
 `dist` reports the GL residual, which never exceeds the Procrustes one.
 
 The solve starts from the one-sided least-squares alignment
@@ -142,15 +142,16 @@ def _gl_newton(o, a, b, xe, yf):
 
     On (..., r, r) stacks of the Procrustes rotation O, the Grams X^T X,
     Y^T Y and the cross terms X^T E, Y^T F (E = X O - X*, F = Y O - Y*),
-    one solve per item, each batched step over the items still iterating.
-    An item starts from the least-squares Q_x = A^-1 X^T X*, that is
-    D = -A^-1 X^T E with A = X^T X (one stacked r x r solve), where that is
-    strictly better than O (`_gl_offset` below 0), and at D = 0 otherwise:
-    on vanilla trajectories O stays a fixed distance from the optimum.
-    Steps are compared by `_gl_offset`; a rise beyond rounding, or a
-    Hessian not positive definite, adds damping mu I to that item. Returns
-    (Q, stationary): stationary where an undamped step moved Q by at most
-    STATIONARY_STEP relative."""
+    one solve per item, each batched pass over the items still iterating.
+    An item starts from the least-squares alignment (module docstring),
+    D = -A^-1 X^T E with A = X^T X, where `_gl_offset` puts it below O, and
+    at D = 0 otherwise. Each pass makes one trial per item, the Newton step
+    with damping mu I, accepted unless its offset rises beyond rounding or
+    the damped Hessian is not positive definite. A rejected trial is retried
+    on the next pass with 4 mu; an accepted one quarters mu. An item leaves
+    at a stationary step (undamped, moving Q by at most STATIONARY_STEP
+    relative), once mu passes mu_max, or after NEWTON_MAX_STEPS accepted
+    steps. Returns (Q, stationary), Q the last accepted point."""
     shape, r = o.shape, o.shape[-1]
     o3, a, b, xe, yf = (m.reshape(-1, r, r) for m in (o, a, b, xe, yf))
     scale = np.trace(a, axis1=1, axis2=2) + np.trace(b, axis1=1, axis2=2)
@@ -161,77 +162,64 @@ def _gl_newton(o, a, b, xe, yf):
     if not act.size:
         return o, stationary.reshape(shape[:-2])
     o3, a, b, xe, yf, scale = (m[act] for m in (o3, a, b, xe, yf, scale))
-    mu_min, mu_max, eye_n = 1e-6 * scale, 1e16 * scale, np.eye(r * r)
+    # mu_max at most the largest float: an overflowed bound is never passed.
+    mu_min, eye_n = 1e-6 * scale, np.eye(r * r)
+    mu_max = np.minimum(1e16 * scale, np.finfo(np.float64).max)
     # Each offset sums four inner products of r^2 terms, each exact to a few
     # ulps of its own magnitude: a rise below that is rounding, not ascent.
     rounding = 4 * r * r * np.finfo(np.float64).eps
     d, h, p = np.zeros_like(o3), np.zeros_like(o3), o3.copy()
-    off, mag, mu = np.zeros((3, len(act)))
+    off, mag, mu, steps = np.zeros((4, len(act)))
     d0 = -_each(np.linalg.solve, np.empty_like(xe), a, xe)
-    p0, h0, off0, mag0 = _gl_offset(o3, a, b, xe, yf, d0)
-    use = off0 < 0.0
-    for v, v0 in zip((d, p, h, off, mag), (d0, p0, h0, off0, mag0)):
-        v[use] = v0[use]
-    for _ in range(NEWTON_MAX_STEPS):
+    start = (d0,) + _gl_offset(o3, a, b, xe, yf, d0)
+    use = start[3] < 0.0
+    for v, t in zip((d, p, h, off, mag), start):
+        v[use] = t[use]
+    while act.size:
         grad, hess = _gl_derivatives(a, b, xe, yf, d, p, h)
+        sys = hess + mu[:, None, None] * eye_n
+        pd = np.isfinite(_each(np.linalg.cholesky, sys.copy(), sys))
         rhs = -grad.reshape(-1, r * r, 1)
-        # Trials cover every item still iterating; an item keeps the first
-        # trial it accepts, or quits once its damping passes mu_max.
-        new, todo, quit = None, np.ones_like(mu, bool), np.zeros_like(mu, bool)
-        while todo.any():
-            sys = hess + mu[:, None, None] * eye_n
-            pd = np.isfinite(_each(np.linalg.cholesky, sys.copy(), sys))
-            step = _each(np.linalg.solve, np.empty_like(rhs), sys, rhs)
-            d_new = d + step.reshape(d.shape)
-            trial = (step, d_new, o3 + d_new) + _gl_offset(o3, a, b, xe, yf,
-                                                           d_new)
-            take = todo & pd.all(axis=(1, 2)) & (
-                trial[5] <= off + rounding * (mag + trial[6]))
-            for v, t in zip(new or (), trial):
-                v[take] = t[take]
-            new, todo = new or list(trial), todo & ~take
-            if todo.any():
-                mu[todo] = np.maximum(4.0 * mu[todo], mu_min[todo])
-                quit |= todo & ~(mu <= mu_max)
-                todo &= ~quit
-        step, d_new, q_new, p, h, off, mag = new
-        done = ~quit & (mu == 0.0) & (
-            _dot(step, step) <= STATIONARY_STEP ** 2 * _dot(q_new, q_new))
-        if quit.any():
-            q[act[quit]] = (o3 + d)[quit]
-        q[act[done]], stationary[act[done]] = q_new[done], True
-        if mu.any():
-            mu = np.where(mu >= 4.0 * mu_min, mu / 4.0, 0.0)
-        d, keep = d_new, ~(quit | done)
-        if not keep.any():
-            break
+        step = _each(np.linalg.solve, np.empty_like(rhs), sys, rhs)
+        d_new = d + step.reshape(d.shape)
+        trial = (d_new,) + _gl_offset(o3, a, b, xe, yf, d_new)
+        take = pd.all(axis=(1, 2)) & (
+            trial[3] <= off + rounding * (mag + trial[4]))
+        for v, t in zip((d, p, h, off, mag), trial):
+            v[take] = t[take]
+        q[act] = q_act = o3 + d
+        stationary[act] = done = take & (mu == 0.0) & (
+            _dot(step, step) <= STATIONARY_STEP ** 2 * _dot(q_act, q_act))
+        steps += take
+        mu = np.where(take, np.where(mu >= 4.0 * mu_min, mu / 4.0, 0.0),
+                      np.maximum(4.0 * mu, mu_min))
+        keep = ~done & (steps < NEWTON_MAX_STEPS) & (mu <= mu_max)
         if not keep.all():
-            act, o3, a, b, xe, yf, mu_min, mu_max, d, p, h, off, mag, mu = (
-                m[keep] for m in (act, o3, a, b, xe, yf, mu_min, mu_max, d,
-                                  p, h, off, mag, mu))
-    else:
-        q[act] = o3 + d
+            act, o3, a, b, xe, yf, mu_min, mu_max, d, p, h, off, mag, mu, \
+                steps = (m[keep] for m in (act, o3, a, b, xe, yf, mu_min,
+                                           mu_max, d, p, h, off, mag, mu,
+                                           steps))
     return q.reshape(shape), stationary.reshape(shape[:-2])
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _align_stack(x, y, target):
     """`gl_align` on K iterates, x (K, d1, r) and y (K, d2, r), with one
-    target, the Grams and cross terms built once. The Newton solve starts
-    from the least-squares Q_x = (X^T X)^-1 X^T X* where Q_x beats the
-    Procrustes rotation O (on vanilla trajectories, where O stays far from
-    the optimum), and from O elsewhere. Returns (Q, O, residual,
-    converged), Q and O the (K, r, r) GL and Procrustes alignments. A
-    degenerate item (non-finite or rank-deficient factors, or no finite
-    candidate) gets a nan Q and residual, unconverged; nothing is raised.
+    target, the Grams and cross terms built once, the Newton solve started
+    as the module docstring says. Returns (Q, O, residual, converged), Q
+    and O the (K, r, r) GL and Procrustes alignments. A degenerate item
+    (non-finite or rank-deficient factors, fewer rows than r included, or
+    no finite candidate) gets a nan Q and residual, unconverged; nothing is
+    raised.
     """
     x_t, y_t = target.x, target.y
     # sigma_min from the factors, through the r x r triangle of a QR: a
     # Gram cannot resolve sigma below about 1e-8 sigma_max, and
-    # RANK_DEFICIENCY_TOL is a singular value.
+    # RANK_DEFICIENCY_TOL is a singular value. A factor with d < r rows has
+    # only a d x r triangle and rank below r whatever its d singular values.
     ok = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(y).all(axis=(1, 2))
     for m in (x, y):
-        ok[ok] = m[0].size and np.linalg.svd(
+        ok[ok] = m.shape[1] >= m.shape[2] > 0 and np.linalg.svd(
             np.linalg.qr(m[ok], mode="r"),
             compute_uv=False)[:, -1] > RANK_DEFICIENCY_TOL
     o, rp, ex, ey = _procrustes(x, y, x_t, y_t)

@@ -164,18 +164,13 @@ class _Problem:
     fully observed mask the leave-one-out cells are the mask's and every
     divisor is 1, so it is the balancing problem bitwise.
 
-    Which layout holds the residual and S is chosen from d1 * d2:
-
-    - dense, up to DENSE_SIZE_LIMIT entries: the residual D is written
-      into a preallocated d1 x d2 buffer, the relative error is
-      ||D||_F / ||M*||_F from that same D, and S = D * W with W holding
-      1/divisor on the cells and 0 elsewhere;
-    - CSR/QR, above it: the residual is gathered at the cells only and
-      written in place into the data of a CSR matrix S, so the gradient
-      costs O(|cells| r). The relative error never forms X Y.T: with
-      A = [X, -U* S*] and B = [Y, V*], X Y.T - M* = A B.T, and
-      ||A B.T||_F = ||B R_A.T||_F for the triangular factor R_A of a QR of
-      A, at O((d1+d2) r^2).
+    In the dense layout (module docstring) the residual D goes into a
+    preallocated d1 x d2 buffer and S = D * W, W holding 1/divisor on the
+    cells and 0 elsewhere. In the CSR layout the residual is written in
+    place into the data of a CSR matrix S, so the gradient costs
+    O(|cells| r). There the relative error takes O((d1+d2) r^2): with
+    A = [X, -U* S*] and B = [Y, V*], X Y.T - M* = A B.T, and
+    ||A B.T||_F = ||B R_A.T||_F for the triangular factor R_A of a QR of A.
     """
 
     def __init__(self, gt, mask, variant):

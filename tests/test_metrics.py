@@ -263,6 +263,59 @@ def test_gl_align_rank_deficient_raises():
         gl_align(f, target)
 
 
+def test_factors_with_fewer_rows_than_rank_are_degenerate():
+    # A d x r factor with d < r has rank d < r, whatever its d singular
+    # values: its QR triangle has only d rows.
+    rng = np.random.default_rng(16)
+    for d1, d2, r in ((2, 6, 3), (6, 2, 3), (1, 4, 2)):
+        target = _random_pair(rng, d1, d2, r)
+        with pytest.raises(AlignmentDegenerateError):
+            gl_align(_random_pair(rng, d1, d2, r), target)
+        pairs = [_random_pair(rng, d1, d2, r) for _ in range(3)]
+        x = np.stack([f.x for f in pairs] + [target.x * 1.5])
+        y = np.stack([f.y for f in pairs] + [target.y / 1.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            q, _, res, converged = _align_stack(x, y, target)
+        assert np.isnan(res).all() and np.isnan(q).all()
+        assert not converged.any()
+    full = gl_align(_random_pair(rng, 3, 3, 3), _random_pair(rng, 3, 3, 3))
+    assert np.isfinite(full.residual) and np.isfinite(full.matrix).all()
+
+
+def test_newton_step_cap_counts_accepted_steps():
+    # This unrelated pair takes 70 accepted Newton steps and 69 rejected
+    # damped trials, 139 in all: a cap on trials would end it unconverged.
+    rng = np.random.default_rng(717)
+    f = FactorPair(rng.standard_normal((5, 4)), rng.standard_normal((5, 4)))
+    target = FactorPair(rng.standard_normal((5, 4)),
+                        rng.standard_normal((5, 4)))
+    res = gl_align(f, target)
+    assert res.converged
+    assert res.residual <= _oracle_residual(f, target) + 1e-15
+
+
+def test_gl_align_ends_when_the_damping_bound_overflows(monkeypatch):
+    # Grams near 1e300 put 1e16 times their trace above the largest float;
+    # the damping must still end the solve (each trial evaluates one
+    # offset), and the result is no worse than the Procrustes rotation.
+    f = FactorPair(np.full((2, 1), 1e150), np.full((3, 1), 1e145))
+    target = FactorPair(np.ones((2, 1)), np.ones((3, 1)))
+    offsets = []
+    offset = metrics._gl_offset
+
+    def counted(*args):
+        offsets.append(args)
+        assert len(offsets) <= 1000, "the damped Newton solve does not end"
+        return offset(*args)
+
+    monkeypatch.setattr(metrics, "_gl_offset", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = gl_align(f, target)
+    assert res.residual <= procrustes_align(f, target).residual
+
+
 def test_gl_align_nonfinite_factors_raise_degenerate():
     # Factors an overflowing step produces: every alignment candidate has
     # a non-finite residual, so dist must report nan rather than fail, and
