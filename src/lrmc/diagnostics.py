@@ -107,10 +107,11 @@ def concentration_check(mask, p, trials, seed):
         ma = xa @ ya.T
         lhs = abs(float(np.sum((project(ma, mask) / p - ma) * (xb @ yb.T))))
         row_norm = lambda m: float(np.max(np.linalg.norm(m, axis=1)))
-        fro = lambda m: float(np.linalg.norm(m))
         rhs = (math.sqrt(dmax / p)
-               * min(fro(xa) * row_norm(xb), row_norm(xa) * fro(xb))
-               * min(fro(ya) * row_norm(yb), row_norm(ya) * fro(yb)))
+               * min(frobenius_norm(xa) * row_norm(xb),
+                     row_norm(xa) * frobenius_norm(xb))
+               * min(frobenius_norm(ya) * row_norm(yb),
+                     row_norm(ya) * frobenius_norm(yb)))
         if lhs > 0 and rhs > 0:
             worst = max(worst, lhs / rhs)
     return worst
@@ -244,10 +245,11 @@ def _loo_bounds(main, loo, aligned, f_star):
 def hypothesis_check(main, loo, gt, s, p):
     """Evaluate the five induction bounds along a recorded run.
 
-    `main` must be a RunResult with stored factors and recorded dist;
-    `loo` a LooFamily from the same instance and stride. The GL and
-    Procrustes alignments of every main iterate come from one stacked call,
-    and those of the leave-one-out iterates from two per selector.
+    `main` must be a RunResult with stored factors; `loo` a LooFamily from
+    the same instance and stride. The GL and Procrustes alignments of every
+    main iterate come from one stacked call, whose GL residuals are the
+    distances of clause (d), and those of the leave-one-out iterates from
+    two per selector.
     Rows whose alignment fails, or whose left-hand side is not finite (a
     diverged run overflows), are marked unevaluable rather than failed. A
     satisfied row is flagged vacuous when its bound exceeds the trivial
@@ -275,7 +277,6 @@ def hypothesis_check(main, loo, gt, s, p):
             satisfied=bool(finite and satisfied),
             evaluable=bool(finite and evaluable), vacuous=bool(vacuous)))
 
-    dist0 = main.trace.dist_to_truth[0] if main.trace.dist_to_truth else None
     for i, k in enumerate(main.trace.k):
         # (a) spectral-norm proximity of the aligned iterate.
         lhs_a = spectral_norm(aligned[i] - f_star_stacked)
@@ -289,10 +290,8 @@ def hypothesis_check(main, loo, gt, s, p):
                 vacuous=rhs_c > scale)
 
         # (d) linear decay of the aligned distance.
-        if dist0 is not None:
-            lhs_d = main.trace.dist_to_truth[i]
-            rhs_d = factor ** k * dist0
-            add(k, "d", lhs_d, rhs_d, lhs_d <= rhs_d)
+        rhs_d = factor ** k * gl_res[0]
+        add(k, "d", gl_res[i], rhs_d, gl_res[i] <= rhs_d)
 
         # (e) proximity of the invertible and orthogonal alignments; a
         # degenerate iterate has a nan GL residual.

@@ -11,12 +11,11 @@ import json
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from functools import partial
 
 import numpy as np
 
-from .linalg import full_svd
 from .metrics import incoherence
 from .model import GroundTruth
 from .sampling import _check_rate, sample_mask

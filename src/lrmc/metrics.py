@@ -81,10 +81,12 @@ def _each(fn, out, *stacks):
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _procrustes(x, y, x_t, y_t):
     """Procrustes rotations O of (K, d1, r), (K, d2, r) stacks, and the
     residual sqrt(||X O - X*||^2 + ||Y O - Y*||^2) with its two blocks. O is
-    nan where X^T X* + Y^T Y* is not finite: LAPACK's SVD can hang on inf."""
+    nan where X^T X* + Y^T Y* is not finite: LAPACK's SVD can hang on inf.
+    A residual that overflows is inf, with no warning."""
     c = x.swapaxes(1, 2) @ x_t + y.swapaxes(1, 2) @ y_t
     bad = ~np.isfinite(c).all(axis=(1, 2))[:, None, None]
     u, _, vt = np.linalg.svd(np.where(bad, 0.0, c))

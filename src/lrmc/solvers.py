@@ -16,8 +16,8 @@ The residual has two storage layouts, picked once per problem from
 d1 * d2 alone. Up to DENSE_SIZE_LIMIT entries it is a dense d1 x d2
 matrix, and the one matrix X Y.T - M* per iterate gives the relative
 error, the objective and the gradient. Above the limit it lives only on
-the cells, in a CSR matrix, and the relative error comes from a QR of
-the factors; there, forming X Y.T would cost more than it saves.
+the cells, in a CSR matrix, and the relative error comes from numpy's QR
+of the factors; there, forming X Y.T would cost more than it saves.
 
 `run` holds the iterate in one (d1+d2) x r buffer [X; Y] and the gradient
 in a second one, and steps in place, so an iteration allocates no factor
@@ -26,13 +26,11 @@ recorded iterate when factors are stored, the final iterate, and the
 inputs and outputs of the public objective, gradient and step.
 """
 
-import math
 import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf
 from scipy.sparse import csr_array
 
 from .linalg import frobenius_norm
@@ -214,16 +212,12 @@ class _Problem:
             np.matmul(x, y.T, out=self.resid)
             self.resid -= self.m_star
             np.multiply(self.resid, self.w, out=self.s)
-            return math.sqrt(np.vdot(self.resid, self.resid)) / self.m_norm
+            return frobenius_norm(self.resid) / self.m_norm
         self.resid = np.einsum("ij,ij->i", x.take(self.rows, 0),
                                y.take(self.cols, 0))
         self.resid -= self.m_obs
         np.divide(self.resid, self.div, out=self.s_vals)
-        r = x.shape[1]
-        a = np.empty((x.shape[0], r + self.a_star.shape[1]), order="F")
-        a[:, :r] = x
-        a[:, r:] = self.a_star
-        r_a = np.triu(dgeqrf(a, overwrite_a=True)[0][:min(a.shape)])
+        r_a = np.linalg.qr(np.hstack((x, self.a_star)), mode="r")
         b = np.hstack((y, self.b_star))
         return frobenius_norm(b @ r_a.T) / self.m_norm
 
@@ -233,8 +227,7 @@ class _Problem:
         x, y = self.x, self.y
         val = 0.5 * float(np.vdot(self.resid, self.s_vals))
         if self.lam is not None:
-            val += 0.5 * self.lam * (float(np.sum(x * x))
-                                     + float(np.sum(y * y)))
+            val += 0.5 * self.lam * float(np.vdot(x, x) + np.vdot(y, y))
         if self.balanced:
             val += 0.125 * (balancing_norm(self) if bal is None else bal) ** 2
         return val

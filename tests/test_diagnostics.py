@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,19 @@ def test_hypothesis_clause_d_follows_contraction(small_theory_run):
     rep = hypothesis_check(main, loo, gt, s=0.5, p=0.5)
     if contraction.all_satisfied:
         assert all(r.satisfied for r in rep.clause_rows("d"))
+
+
+def test_hypothesis_clause_d_needs_no_recorded_dist(small_theory_run):
+    # Clause (d) comes from hypothesis_check's own alignment: a run without
+    # compute_dist gets the same report, and its left-hand sides are the
+    # recorded distances, bit for bit.
+    gt, mask, cfg, main, loo = small_theory_run
+    bare = run(gt, mask, dataclasses.replace(cfg, compute_dist=False),
+               spectral_init(gt, mask, 3))
+    assert not bare.trace.dist_to_truth
+    rep = hypothesis_check(main, loo, gt, s=0.5, p=0.5)
+    assert hypothesis_check(bare, loo, gt, s=0.5, p=0.5).rows == rep.rows
+    assert [r.lhs for r in rep.clause_rows("d")] == main.trace.dist_to_truth
 
 
 def _loo_clauses_one_at_a_time(main, loo, gt):

@@ -339,6 +339,21 @@ def test_gl_align_nonfinite_factors_raise_degenerate():
     assert q is o and not stationary
 
 
+def test_procrustes_residual_overflows_to_inf_without_warning():
+    # Finite factors whose residual overflows: procrustes_align reports an
+    # inf residual, as _align_stack does, and raises no RuntimeWarning;
+    # gl_align has no finite candidate on the pair.
+    f = FactorPair(np.full((2, 1), 1e160), np.full((3, 1), 1e160))
+    target = FactorPair(np.ones((2, 1)), np.ones((3, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = procrustes_align(f, target)
+        with pytest.raises(AlignmentDegenerateError):
+            gl_align(f, target)
+    np.testing.assert_array_equal(res.matrix, [[1.0]])
+    assert res.residual == np.inf
+
+
 def test_align_stack_items_match_their_single_calls():
     # One chunk mixing regular iterates with the degenerate and overflowing
     # pairs of the tests above: every item equals its own K = 1 call bit for

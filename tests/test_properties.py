@@ -1,24 +1,48 @@
-"""Property tests for the invariants the stacked alignment relies on.
+"""Property tests for the invariants the fast paths rely on.
 
-Each draws (K, d1, r) and (K, d2, r) stacks, K <= 4 and r <= 6, whose
-items mix near-target pairs (X* G, Y* G^-T) plus noise, exact rotations
-(X* O, Y* O), where the GL and Procrustes residuals tie up to rounding,
-unrelated pairs, rank-deficient and non-finite pairs, and pairs scaled near
-overflow (the last reach the damping, the step cap and an overflowed
-damping bound). Some stacks have fewer rows than r on one side, so every
-item is rank-deficient. The Hypothesis profile in conftest.py makes the
-examples the same on every run.
+1. An `_align_stack` item is bitwise equal to its K = 1 call.
+2. `dist` never exceeds the Procrustes residual.
+3. `dist` is invariant under (X G, Y G^-T).
+4. Both residual layouts of `solvers._Problem` match the dense oracle.
+5. `run`'s iterates are bitwise equal to the public steps.
+
+The alignment properties draw (K, d1, r) and (K, d2, r) stacks, K <= 4 and
+r <= 6, whose items mix near-target pairs (X* G, Y* G^-T) plus noise, exact
+rotations (X* O, Y* O), where the GL and Procrustes residuals tie up to
+rounding, unrelated pairs, rank-deficient and non-finite pairs, and pairs
+scaled near overflow (the last reach the damping, the step cap and an
+overflowed damping bound). Some stacks have fewer rows than r on one side,
+so every item is rank-deficient. The solver properties draw problems up to
+12 x 12 with r <= 3 on Bernoulli masks, masks with an empty row and/or
+column, and fully observed masks. The Hypothesis profile in conftest.py
+makes the examples the same on every run.
 """
 
+import warnings
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrmc.metrics import _align_stack, procrustes_align
-from lrmc.model import FactorPair
+from lrmc import solvers
+from lrmc.metrics import (_align_stack, gl_align, incoherence,
+                          procrustes_align)
+from lrmc.model import FactorPair, GroundTruth
+from lrmc.sampling import ObservationMask, sample_mask
+from lrmc.solvers import SolverConfig, SolverVariant, gradient, run, step
+from test_solvers import (LAYOUT_LIMITS, _bits, _dense_gradient,
+                          _dense_objective, _indicator)
 
 KINDS = ("near", "rotated", "unrelated", "rank_deficient", "nonfinite", "huge")
 DEGENERATE = ("rank_deficient", "nonfinite", "short")
+
+
+def _gl_element(rng, r):
+    """A random r x r G with condition number at most 1e2."""
+    u, _ = np.linalg.qr(rng.standard_normal((r, r)))
+    return u @ np.diag(10.0 ** rng.uniform(-1.0, 1.0, r))
 
 
 def _item(rng, kind, target):
@@ -26,8 +50,7 @@ def _item(rng, kind, target):
     x, y = rng.standard_normal((d1, r)), rng.standard_normal((d2, r))
     if kind == "near":
         # G with condition number up to 1e2, noise from 1e-10 to 1e-1
-        u, _ = np.linalg.qr(rng.standard_normal((r, r)))
-        g = u @ np.diag(10.0 ** rng.uniform(-1.0, 1.0, r))
+        g = _gl_element(rng, r)
         noise = 10.0 ** rng.uniform(-10.0, -1.0)
         x = target.x @ g + noise * x
         y = target.y @ np.linalg.inv(g).T + noise * y
@@ -95,3 +118,138 @@ def test_dist_never_exceeds_procrustes_residual(case):
             assert res[j] <= pro.residual
         else:
             assert not converged[j]
+
+
+@settings(max_examples=60)
+@given(r=st.integers(1, 6), extra=st.tuples(st.integers(0, 4),
+                                            st.integers(0, 4)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_dist_invariant_under_gl_action(r, extra, seed):
+    # Invariant 3: dist(X G, Y G^-T) = dist(X, Y) to 1e-9 relative, for G
+    # with condition number <= 1e2, wherever both solves converge.
+    rng = np.random.default_rng(seed)
+    target = FactorPair(rng.standard_normal((r + extra[0], r)),
+                        rng.standard_normal((r + extra[1], r)))
+    f = FactorPair(*_item(rng, "near", target))
+    g = _gl_element(rng, r)
+    moved = FactorPair(f.x @ g, f.y @ np.linalg.inv(g).T)
+    a, b = gl_align(f, target), gl_align(moved, target)
+    # Forming X G and Y G^-T rounds the pair, which moves dist by up to
+    # about eps cond(G) ||F||: the floor below which no alignment can
+    # tell the two pairs apart.
+    floor = 16 * np.finfo(float).eps * np.linalg.cond(g) * np.sqrt(
+        np.sum(f.x * f.x) + np.sum(f.y * f.y))
+    if a.converged and b.converged:
+        assert abs(a.residual - b.residual) <= 1e-9 * a.residual + floor
+
+
+@st.composite
+def masks(draw, d1, d2):
+    """A Bernoulli mask, one with an empty row and/or column, or p = 1."""
+    kind = draw(st.sampled_from(("bernoulli", "empty_lines", "full")))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if kind == "full":
+        return sample_mask(d1, d2, 1.0, seed)
+    mask = sample_mask(d1, d2, draw(st.floats(0.2, 0.9)), seed)
+    if kind == "bernoulli":
+        return mask
+    cells = _indicator(mask)
+    row, col = draw(st.sampled_from(((True, False), (False, True),
+                                     (True, True))))
+    if row:
+        cells[draw(st.integers(0, d1 - 1)), :] = False
+    if col:
+        cells[:, draw(st.integers(0, d2 - 1))] = False
+    return ObservationMask.from_cells(d1, d2, mask.p, *np.nonzero(cells))
+
+
+@st.composite
+def problems(draw, tag):
+    """(gt, mask, variant): a target up to 12 x 12 with r <= 3, a mask and
+    the variant `tag`, a leave-one-out line drawn from all of them."""
+    r = draw(st.integers(1, 3))
+    d1, d2 = draw(st.integers(r, 12)), draw(st.integers(r, 12))
+    # Gaussian frames: gen_ground_truth's +-1 ones are often singular when
+    # d = r.
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u, _ = np.linalg.qr(rng.standard_normal((d1, r)))
+    v, _ = np.linalg.qr(rng.standard_normal((d2, r)))
+    sigma = np.linspace(1.0, 1.0 / draw(st.floats(1.0, 5.0)), r)
+    gt = GroundTruth(u_star=u, sigma_star=sigma, v_star=v,
+                     m_star=u @ (sigma[:, None] * v.T),
+                     kappa=sigma[0] / sigma[-1], mu=incoherence(u, v))
+    mask = draw(masks(d1, d2))
+    if tag == "regularized":
+        return gt, mask, SolverVariant.regularized(1e-2)
+    if tag == "leave_one_out":
+        sel = draw(st.integers(1, d1 + d2))
+        return gt, mask, SolverVariant.leave_one_out(sel)
+    return gt, mask, getattr(SolverVariant, tag)()
+
+
+# Layouts and variants are pytest parameters, so each pair gets its own
+# examples. The layout is bound inside the test body: Hypothesis rejects
+# function-scoped fixtures such as monkeypatch.
+EACH_LAYOUT = pytest.mark.parametrize("layout", sorted(LAYOUT_LIMITS))
+EACH_VARIANT = pytest.mark.parametrize(
+    "tag", ("vanilla", "regularized", "balancing", "leave_one_out"))
+
+
+@EACH_LAYOUT
+@EACH_VARIANT
+@settings(max_examples=25)
+@given(data=st.data(), scale=st.floats(-1.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_problem_layouts_match_dense_oracle(layout, tag, data, scale, seed):
+    # Invariant 4: at an arbitrary iterate, the bound problem's relative
+    # error, objective and gradient are the dense reference's in both
+    # residual layouts.
+    gt, mask, variant = data.draw(problems(tag))
+    rng = np.random.default_rng(seed)
+    f = FactorPair(10.0 ** scale * rng.standard_normal((gt.d1, gt.r)),
+                   10.0 ** scale * rng.standard_normal((gt.d2, gt.r)))
+    with mock.patch.object(solvers, "DENSE_SIZE_LIMIT",
+                           LAYOUT_LIMITS[layout]):
+        problem = solvers._Problem(gt, mask, variant)
+    assert problem.dense == (layout == "dense")
+    rel = problem.load(f.x, f.y)
+    value = problem.objective()
+    g = FactorPair(np.empty_like(f.x), np.empty_like(f.y))
+    problem.gradient(g.x, g.y)
+    ref = (np.linalg.norm(f.x @ f.y.T - gt.m_star)
+           / np.linalg.norm(gt.m_star))
+    assert abs(rel - ref) <= 1e-12 * (1.0 + ref)
+    assert abs(value - _dense_objective(f, gt, mask, variant)) <= (
+        1e-12 * abs(value))
+    ref_g = _dense_gradient(f, gt, mask, variant)
+    for got, want in ((g.x, ref_g.x), (g.y, ref_g.y)):
+        atol = 1e-12 * (1.0 + np.abs(want).max())
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
+
+
+@EACH_LAYOUT
+@EACH_VARIANT
+@settings(max_examples=15)
+@given(data=st.data(), step_size=st.floats(0.05, 1.0),
+       iters=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_run_iterates_are_public_steps(layout, tag, data, step_size, iters,
+                                       seed):
+    # Invariant 5: every stored iterate of run is the public step from the
+    # one before, bit for bit, whatever the run's status.
+    gt, mask, variant = data.draw(problems(tag))
+    rng = np.random.default_rng(seed)
+    init = FactorPair(rng.standard_normal((gt.d1, gt.r)),
+                      rng.standard_normal((gt.d2, gt.r)))
+    cfg = SolverConfig(variant=variant, step=step_size, max_iters=iters,
+                       tol=1e-30, store_factors=True)
+    with mock.patch.object(solvers, "DENSE_SIZE_LIMIT",
+                           LAYOUT_LIMITS[layout]):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "underdetermined")
+            res = run(gt, mask, cfg, init)
+        assert len(res.factors) == res.iterations + 1
+        assert _bits(res.factors[0]) == _bits(init)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for f, nxt in zip(res.factors, res.factors[1:]):
+                expected = step(f, gradient(f, gt, mask, variant), step_size)
+                assert _bits(nxt) == _bits(expected)
