@@ -131,11 +131,17 @@ def _gl_derivatives(a, b, xe, yf, d, p, h):
     grad = xe + a @ d - s
     # hess[i, k, j, l] = d grad[i, k] / d Q[j, l]
     #   = A[i, j] I[k, l] + (P P^T)[i, j] (P^T B P)[k, l]
-    #     + P[i, l] S[j, k] + S[i, l] P[j, k]: four outer products.
-    hess = (np.einsum("...ij,kl->...ikjl", a, np.eye(r))
-            + np.einsum("...ij,...kl->...ikjl", p @ pt, pt @ b @ p)
-            + np.einsum("...il,...jk->...ikjl", p, s)
-            + np.einsum("...il,...jk->...ikjl", s, p))
+    #     + P[i, l] S[j, k] + S[i, l] P[j, k]: four outer products, formed
+    # as broadcast products over the axes (i, k, j, l) and summed into one
+    # array in this order.
+    hess = a[..., :, None, :, None] * np.eye(r)[:, None, :]
+    term = np.empty_like(hess)
+    for u, v in (((p @ pt)[..., :, None, :, None],
+                  (pt @ b @ p)[..., None, :, None, :]),
+                 (p[..., :, None, None, :],
+                  s.swapaxes(-1, -2)[..., None, :, :, None]),
+                 (s[..., :, None, None, :], pt[..., None, :, :, None])):
+        hess += np.multiply(u, v, out=term)
     return grad, hess.reshape(*hess.shape[:-4], r * r, r * r)
 
 
@@ -180,7 +186,7 @@ def _gl_newton(o, a, b, xe, yf):
     while act.size:
         grad, hess = _gl_derivatives(a, b, xe, yf, d, p, h)
         sys = hess + mu[:, None, None] * eye_n
-        pd = np.isfinite(_each(np.linalg.cholesky, sys.copy(), sys))
+        pd = np.isfinite(_each(np.linalg.cholesky, np.empty_like(sys), sys))
         rhs = -grad.reshape(-1, r * r, 1)
         step = _each(np.linalg.solve, np.empty_like(rhs), sys, rhs)
         d_new = d + step.reshape(d.shape)
@@ -204,6 +210,15 @@ def _gl_newton(o, a, b, xe, yf):
     return q.reshape(shape), stationary.reshape(shape[:-2])
 
 
+def _full_rank(m):
+    """sigma_min > RANK_DEFICIENCY_TOL for each item of a (K, d, r) stack,
+    d >= r, from the r x r triangle of a QR: a Gram cannot resolve sigma
+    below about 1e-8 sigma_max, and RANK_DEFICIENCY_TOL is a singular
+    value."""
+    return np.linalg.svd(np.linalg.qr(m, mode="r"),
+                         compute_uv=False)[:, -1] > RANK_DEFICIENCY_TOL
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _align_stack(x, y, target):
     """`gl_align` on K iterates, x (K, d1, r) and y (K, d2, r), with one
@@ -215,21 +230,47 @@ def _align_stack(x, y, target):
     raised.
     """
     x_t, y_t = target.x, target.y
-    # sigma_min from the factors, through the r x r triangle of a QR: a
-    # Gram cannot resolve sigma below about 1e-8 sigma_max, and
-    # RANK_DEFICIENCY_TOL is a singular value. A factor with d < r rows has
-    # only a d x r triangle and rank below r whatever its d singular values.
-    ok = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(y).all(axis=(1, 2))
-    for m in (x, y):
-        ok[ok] = m.shape[1] >= m.shape[2] > 0 and np.linalg.svd(
-            np.linalg.qr(m[ok], mode="r"),
-            compute_uv=False)[:, -1] > RANK_DEFICIENCY_TOL
+    k, r = len(x), x.shape[2]
+    grams = np.empty((2 * k, r, r))
+    a, b = grams[:k], grams[k:]
+    np.matmul(x.swapaxes(1, 2), x, out=a)
+    np.matmul(y.swapaxes(1, 2), y, out=b)
+    # Rank check: sigma_min > RANK_DEFICIENCY_TOL for both factors, as
+    # `_full_rank` decides it. One Cholesky call screens all 2K Grams first,
+    # each G = M^T M (M d x r) shifted down by c = TOL^2 + m tr G; an item
+    # it passes is full rank by `_full_rank` too, and only the rest take
+    # that path. With u = eps / 2, a pass bounds sigma_min(M)^2 from below:
+    #   - fl(G) = G + E, |E| <= gamma_d |M|^T |M|, so ||E|| <= d u tr G;
+    #   - the Cholesky of fl(G) - c I succeeds only if fl(G) - c I + E' is
+    #     positive definite for some ||E'|| <= (r + 1) u tr G;
+    #   so sigma_min(M)^2 >= TOL^2 + (m - (d + r + 1) u) tr G. The QR + SVD
+    # finds sigma_min of M + F, ||F|| <= c' d r u ||M||_F (Householder QR,
+    # Higham Thm 19.4, with the SVD of the triangle), and, as no G with
+    # tr G < TOL^2 passes, (TOL + c' d r u ||M||_F)^2 <= TOL^2 +
+    # 3 c' d r u tr G. So m = 8 (d + 1)(r + 1) eps covers all three for any
+    # c' <= 5; at 160 x 5 it sends on only condition numbers above ~3e5.
+    # A factor with d < r rows has rank below r whatever its d singular
+    # values.
+    ok = (np.isfinite(x).all(axis=(1, 2)) & np.isfinite(y).all(axis=(1, 2))
+          & (x.shape[1] >= r > 0) & (y.shape[1] >= r))
+    screened = np.concatenate((ok, ok))
+    if screened.any():
+        g = grams[screened]
+        d = np.repeat((x.shape[1], y.shape[1]), k)[screened]
+        m = 8 * (d + 1) * (r + 1) * np.finfo(np.float64).eps
+        c = RANK_DEFICIENCY_TOL ** 2 + m * np.trace(g, axis1=1, axis2=2)
+        g -= c[:, None, None] * np.eye(r)
+        screened[screened] = np.isfinite(_each(
+            np.linalg.cholesky, np.empty_like(g), g)).all(axis=(1, 2))
+    for fac, passed in ((x, screened[:k]), (y, screened[k:])):
+        rest = ok & ~passed
+        if rest.any():
+            ok[rest] = _full_rank(fac[rest])
     o, rp, ex, ey = _procrustes(x, y, x_t, y_t)
     i = slice(None) if ok.all() else np.flatnonzero(ok)
     xs, ys, os = x[i], y[i], o[i]
-    xst, yst = xs.swapaxes(1, 2), ys.swapaxes(1, 2)
-    qn, stationary = _gl_newton(os, xst @ xs, yst @ ys, xst @ ex[i],
-                                yst @ ey[i])
+    qn, stationary = _gl_newton(os, a[i], b[i], xs.swapaxes(1, 2) @ ex[i],
+                                ys.swapaxes(1, 2) @ ey[i])
     pn = _each(np.linalg.inv, np.empty_like(qn), qn.swapaxes(1, 2))
     rx, ry = xs @ qn - x_t, ys @ pn - y_t
     rn = np.sqrt(_dot(rx, rx) + _dot(ry, ry))

@@ -18,6 +18,8 @@ matrix, and the one matrix X Y.T - M* per iterate gives the relative
 error, the objective and the gradient. Above the limit it lives only on
 the cells, in a CSR matrix, and the relative error comes from numpy's QR
 of the factors; there, forming X Y.T would cost more than it saves.
+scipy.sparse, which holds the CSR matrix, is imported with the first CSR
+problem, so a process that builds none does not load scipy.
 
 `run` holds the iterate in one (d1+d2) x r buffer [X; Y] and the gradient
 in a second one, and steps in place, so an iteration allocates no factor
@@ -31,7 +33,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .linalg import frobenius_norm
 from .metrics import _align_stack, balancing_norm
@@ -191,6 +192,7 @@ class _Problem:
             self.resid = np.empty((mask.d1, mask.d2))
             self.s = self.s_vals = np.empty((mask.d1, mask.d2))
         else:
+            from scipy.sparse import csr_array  # see the module docstring
             self.div = div
             self.rows, self.cols = mask.rows, mask.cols
             self.m_obs = gt.m_star[mask.rows, mask.cols]

@@ -217,6 +217,62 @@ def test_align_stack_rank_check_matches_dense_svd():
     assert np.isfinite(q[~expected]).all()
 
 
+def test_rank_screen_sends_near_tolerance_factors_to_qr_svd(monkeypatch):
+    # A sigma_min within 1e-3 of RANK_DEFICIENCY_TOL is far below what the
+    # Cholesky screen of the Grams resolves, so those factors, and only
+    # those, take the QR + SVD path, which decides them as a dense SVD does.
+    rng = np.random.default_rng(17)
+    target = gen_ground_truth(12, 9, 3, 1.0, seed=15).optimal_pair()
+
+    def with_sigma_min(d, smin):
+        u, _ = np.linalg.qr(rng.standard_normal((d, 3)))
+        v, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        return u @ np.diag([2.0, 1.0, smin]) @ v.T
+
+    tol = RANK_DEFICIENCY_TOL
+    sigmas = (0.5, tol * (1 + 1e-3), tol * (1 - 1e-3))
+    pairs = [(sx, sy) for sx in sigmas for sy in sigmas]
+    x = np.stack([with_sigma_min(12, sx) for sx, _ in pairs])
+    y = np.stack([with_sigma_min(9, sy) for _, sy in pairs])
+    dense = [np.linalg.svd(m, compute_uv=False)[:, -1] > tol for m in (x, y)]
+    assert (dense[0] & dense[1]).tolist() == [
+        sx != sigmas[2] and sy != sigmas[2] for sx, sy in pairs]
+    sent = []
+    full_rank = metrics._full_rank
+
+    def counted(m):
+        sent.append(len(m))
+        return full_rank(m)
+
+    monkeypatch.setattr(metrics, "_full_rank", counted)
+    _, _, res, _ = _align_stack(x, y, target)
+    # X: the 6 items with sigma_min near the tolerance; Y: of the 6 items
+    # whose X passed, the 4 with sigma_min near it.
+    assert sent == [6, 4]
+    np.testing.assert_array_equal(np.isnan(res), ~(dense[0] & dense[1]))
+    sent.clear()
+    _align_stack(x[:1].repeat(4, axis=0), y[:1].repeat(4, axis=0), target)
+    assert sent == []
+
+
+def test_gl_hessian_equals_four_einsum_outer_products():
+    def einsum_hessian(a, b, xe, yf, d, p, h):
+        r = d.shape[-1]
+        pt = p.swapaxes(-1, -2)
+        s = p @ (yf + b @ h).swapaxes(-1, -2) @ p
+        hess = (np.einsum("...ij,kl->...ikjl", a, np.eye(r))
+                + np.einsum("...ij,...kl->...ikjl", p @ pt, pt @ b @ p)
+                + np.einsum("...il,...jk->...ikjl", p, s)
+                + np.einsum("...il,...jk->...ikjl", s, p))
+        return hess.reshape(*hess.shape[:-4], r * r, r * r)
+
+    rng = np.random.default_rng(18)
+    for shape in ((32, 5, 5), (3, 1, 1), (2, 4, 4), (3, 3)):
+        args = [rng.standard_normal(shape) for _ in range(7)]
+        hess = _gl_derivatives(*args)[1]
+        assert hess.tobytes() == einsum_hessian(*args).tobytes()
+
+
 def test_gl_derivatives_match_finite_differences():
     rng = np.random.default_rng(11)
     r = 3
