@@ -20,8 +20,13 @@ __all__ = [
 def frobenius_norm(m):
     """sqrt(<m, m>) of a float64 array from one BLAS dot, which sums in
     another order than the pairwise np.sum(m * m) used before: values moved
-    in the last bits."""
-    return math.sqrt(np.vdot(m, m))
+    in the last bits.
+
+    The dot runs over the entries in memory order, so a contiguous array of
+    either order is read in place, not copied; an F-ordered matrix's value
+    can differ from its C-ordered copy's in the last bits."""
+    v = m.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def spectral_norm(m):

@@ -59,7 +59,9 @@ def relative_error(f, m_star):
     denom = frobenius_norm(m_star)
     if denom == 0.0:
         raise ValueError("m_star is zero; relative error undefined")
-    return frobenius_norm(f.product() - m_star) / denom
+    d = f.product()
+    d -= m_star
+    return frobenius_norm(d) / denom
 
 
 def _dot(u, v):

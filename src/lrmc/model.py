@@ -1,5 +1,6 @@
 """Factor-pair and ground-truth data model."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -7,6 +8,10 @@ import numpy as np
 from .linalg import frobenius_norm
 
 __all__ = ["FactorPair", "GroundTruth"]
+
+# GroundTruth compares m_star with its factors in row blocks of about this
+# many entries, so the check holds no d1 x d2 temporary.
+_CHECK_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -49,9 +54,17 @@ class GroundTruth:
     mu: float               # incoherence coefficient (>= 1)
 
     def __post_init__(self):
-        recon = self.u_star @ (self.sigma_star[:, None] * self.v_star.T)
-        err = frobenius_norm(recon - self.m_star)
-        if err > 1e-12 * max(frobenius_norm(self.m_star), 1e-300):
+        if np.shape(self.m_star) != (self.d1, self.d2):
+            raise ValueError("m_star does not match its factorization")
+        # ||U* S* V*.T - M*||_F, accumulated over row blocks.
+        sv = self.sigma_star[:, None] * self.v_star.T
+        step = max(1, _CHECK_BLOCK // self.d2)
+        err2 = 0.0
+        for i in range(0, self.d1, step):
+            block = self.u_star[i:i + step] @ sv
+            block -= self.m_star[i:i + step]
+            err2 += np.vdot(block, block)
+        if math.sqrt(err2) > 1e-12 * max(frobenius_norm(self.m_star), 1e-300):
             raise ValueError("m_star does not match its factorization")
         if self.kappa < 1.0 - 1e-12:
             raise ValueError(f"kappa={self.kappa} < 1")

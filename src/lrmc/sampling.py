@@ -28,6 +28,9 @@ __all__ = [
     "load_mask",
 ]
 
+# sample_mask draws its stream in row blocks of about this many entries.
+_DRAW_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class ObservationMask:
@@ -48,8 +51,7 @@ class ObservationMask:
     @classmethod
     def from_cells(cls, d1, d2, p, rows, cols, seed=None):
         _check_rate(p)
-        if d1 < 1 or d2 < 1:
-            raise ValueError(f"dimensions ({d1}, {d2}) must be >= 1")
+        _check_shape(d1, d2)
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         if rows.shape != cols.shape:
@@ -98,12 +100,16 @@ def sample_mask(d1, d2, p, seed):
 
     Cell (i, j) is decided by draw number i*d2+j of a counter-based Philox
     stream keyed by `seed`, so the mask is reproducible and independent of
-    evaluation order.
+    evaluation order. The stream is drawn in row blocks, which continue one
+    another, so no d1 x d2 array of draws is held.
     """
     _check_rate(p)
+    _check_shape(d1, d2)
     rng = Generator(Philox(key=np.uint64(seed)))
-    u = rng.random(d1 * d2)
-    flat = np.nonzero(u < p)[0]
+    step = max(1, _DRAW_BLOCK // d2)
+    flat = np.concatenate([
+        np.nonzero(rng.random(min(step, d1 - i) * d2) < p)[0] + i * d2
+        for i in range(0, d1, step)])
     return ObservationMask.from_cells(d1, d2, p, flat // d2, flat % d2,
                                       seed=int(seed))
 
@@ -111,6 +117,11 @@ def sample_mask(d1, d2, p, seed):
 def _check_rate(p):
     if not 0.0 < p <= 1.0:
         raise ValueError(f"sampling rate p={p} outside (0, 1]")
+
+
+def _check_shape(d1, d2):
+    if d1 < 1 or d2 < 1:
+        raise ValueError(f"dimensions ({d1}, {d2}) must be >= 1")
 
 
 def _check_dims(m, mask):

@@ -19,7 +19,9 @@ error, the objective and the gradient. Above the limit it lives only on
 the cells, in a CSR matrix, and the relative error comes from numpy's QR
 of the factors; there, forming X Y.T would cost more than it saves.
 scipy.sparse, which holds the CSR matrix, is imported with the first CSR
-problem, so a process that builds none does not load scipy.
+problem, or with the first spectral start with max(d1, d2) > 512
+(spectral.FULL_SVD_DIM_LIMIT), which also takes a CSR matrix; a process
+that makes neither does not load scipy.
 
 `run` holds the iterate in one (d1+d2) x r buffer [X; Y] and the gradient
 in a second one, and steps in place, so an iteration allocates no factor

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,23 @@ def test_frobenius_matches_sum_oracle():
         for j in range(6):
             acc += m[i, j] ** 2
     assert frobenius_norm(m) == pytest.approx(np.sqrt(acc), abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(300, 200), (1, 7), (9, 1)])
+def test_frobenius_reads_f_ordered_matrix_in_place(shape):
+    # The dot runs in memory order: an F-ordered matrix is not copied, and
+    # its value is its C-ordered copy's up to the order of the sum.
+    m = np.random.default_rng(2).standard_normal(shape)
+    f = np.asfortranarray(m)
+    tracemalloc.start()
+    try:
+        value = frobenius_norm(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024  # the view's header, no array data
+    expected = frobenius_norm(m)
+    assert abs(value - expected) <= 4 * np.spacing(expected)
 
 
 def test_spectral_trivial():

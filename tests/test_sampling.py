@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
-from lrmc.sampling import (LooSelector, ObservationMask, load_mask,
-                           loo_cells, loo_project, project, sample_mask,
-                           save_mask)
+from lrmc.sampling import (_DRAW_BLOCK, LooSelector, ObservationMask,
+                           load_mask, loo_cells, loo_project, project,
+                           sample_mask, save_mask)
 
 
 def _indicator(mask):
@@ -41,6 +42,28 @@ def test_sample_mask_deterministic():
     c = sample_mask(30, 20, 0.4, seed=43)
     assert not ((a.rows.size == c.rows.size)
                 and (a.rows == c.rows).all() and (a.cols == c.cols).all())
+
+
+@pytest.mark.parametrize("d1, d2, p", [
+    (3, _DRAW_BLOCK + 5, 0.3),                   # a row longer than a block
+    (2 * (_DRAW_BLOCK // 300) + 7, 300, 0.2),    # a short last block
+    (1, 1, 0.5), (1, 1, 1.0),
+    (_DRAW_BLOCK // 100 + 1, 100, 1.0)])
+@pytest.mark.parametrize("seed", [0, 11])
+def test_sample_mask_equals_one_shot_draw(d1, d2, p, seed):
+    # The mask is drawn in row blocks; the cells are those of the whole
+    # stream drawn at once, bit for bit.
+    mask = sample_mask(d1, d2, p, seed)
+    u = Generator(Philox(key=np.uint64(seed))).random(d1 * d2)
+    flat = np.flatnonzero(u < p)
+    assert np.array_equal(mask.rows, flat // d2)
+    assert np.array_equal(mask.cols, flat % d2)
+
+
+@pytest.mark.parametrize("d1, d2", [(0, 3), (3, 0), (-1, 2)])
+def test_sample_mask_rejects_empty_dims(d1, d2):
+    with pytest.raises(ValueError, match="dimensions"):
+        sample_mask(d1, d2, 0.5, seed=0)
 
 
 def test_from_cells_validation():

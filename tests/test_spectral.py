@@ -5,9 +5,10 @@ from lrmc.diagnostics import default_selectors
 from lrmc.experiments import derive_seed, gen_ground_truth
 from lrmc.linalg import full_svd
 from lrmc.model import FactorPair
-from lrmc.sampling import LooSelector, loo_project, sample_mask
+from lrmc.sampling import LooSelector, loo_cells, loo_project, sample_mask
 from lrmc.solvers import SolverConfig, SolverVariant, run
-from lrmc.spectral import loo_init, spectral_init, truncated_svd
+from lrmc.spectral import (FULL_SVD_DIM_LIMIT, _randomized_svd, loo_init,
+                           spectral_init, truncated_svd)
 
 
 def test_truncated_svd_diagonal():
@@ -114,3 +115,43 @@ def test_loo_init_matches_loo_project_start_on_headline_instance():
         assert runs[0].iterations == runs[1].iterations
         iterations.append(runs[0].iterations)
     assert iterations == [784, 786, 786, 788, 780, 786, 785, 723]
+
+
+def _dense_start(gt, cells, div, r):
+    """The randomized start from the dense d1 x d2 observed matrix."""
+    m0 = np.zeros((gt.d1, gt.d2))
+    m0[cells.rows, cells.cols] = gt.m_star[cells.rows, cells.cols] / div
+    t = _randomized_svd(m0, r, 0)
+    root = np.sqrt(t.sigma0)
+    return FactorPair(t.u0 * root, t.v0 * root)
+
+
+def _close(f, g, rtol):
+    return (np.linalg.norm(f.x - g.x) <= rtol * np.linalg.norm(g.x)
+            and np.linalg.norm(f.y - g.y) <= rtol * np.linalg.norm(g.y))
+
+
+@pytest.mark.parametrize("shape", [(600, 520), (300, 700)])
+def test_randomized_starts_match_dense_observed_matrix(shape):
+    # Above FULL_SVD_DIM_LIMIT the starts take the cells as a CSR matrix;
+    # the dense matrix holding the same cells is the oracle.
+    d1, d2 = shape
+    assert max(d1, d2) > FULL_SVD_DIM_LIMIT
+    gt = gen_ground_truth(d1, d2, 3, 2.0, seed=8)
+    mask = sample_mask(d1, d2, 0.1, seed=9)
+    assert _close(spectral_init(gt, mask, 3),
+                  _dense_start(gt, mask, mask.p, 3), 1e-12)
+    for sel in (LooSelector(2), LooSelector(d1 + d2)):
+        assert _close(loo_init(gt, mask, 3, sel),
+                      _dense_start(gt, *loo_cells(mask, sel), 3), 1e-12)
+
+
+def test_randomized_starts_check_rank():
+    gt = gen_ground_truth(600, 520, 2, 1.0, seed=10)
+    mask = sample_mask(600, 520, 0.1, seed=11)
+    with pytest.raises(ValueError, match="rank"):
+        spectral_init(gt, mask, 521)
+    with pytest.raises(ValueError, match="rank"):
+        loo_init(gt, mask, 521, LooSelector(1))
+    with pytest.raises(ValueError, match="rank"):
+        truncated_svd(np.zeros((600, 520)), 521)
