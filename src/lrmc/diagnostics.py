@@ -5,7 +5,10 @@ relies on: the per-step contraction factor, the five induction bounds with
 their leave-one-out companion sequences, the drift of the norm-imbalance
 term, and sampling-concentration spot checks. The unspecified constants of
 the theory are set to 1, so reports carry slack values rather than
-pass/fail theorem claims.
+pass/fail theorem claims. The induction bounds are evaluated over a run's
+records in slices of DIST_CHUNK, each slice's iterates aligned in stacked
+calls, so the checker's working set is one slice's however many records
+the run holds.
 """
 
 import csv
@@ -17,7 +20,7 @@ import numpy as np
 from .linalg import frobenius_norm, spectral_norm
 from .metrics import _align_stack, _procrustes
 from .sampling import LooSelector, project
-from .solvers import SolverConfig, SolverVariant, run
+from .solvers import DIST_CHUNK, SolverConfig, SolverVariant, run
 from .spectral import loo_init
 
 __all__ = [
@@ -206,32 +209,25 @@ def _bounds(gt, s, p):
     return rhs_a, rhs_b, rhs_c, rhs_e
 
 
-def _loo_bounds(main, loo, aligned, f_star):
-    """Left-hand sides of clauses (b) and (c), as dicts over the k that the
-    main run and every leave-one-out run recorded; empty without selectors.
+def _loo_bounds(loo, ks, target, f_star):
+    """Left-hand sides of clauses (b) and (c), as dicts over the records ks,
+    which every leave-one-out run also recorded, given the aligned main
+    iterates F O at them as a (K, d1+d2, r) stack.
 
-    For every selector l, its iterates at those k are Procrustes-aligned in
-    two stacked calls: to F* for (b), the row l of F_l O_l - F*, and to the
-    aligned main iterates F O for (c), ||F O - F_l R_l||_F. Each bound is
-    the maximum over the family, nan kept.
+    For every selector l, its iterates at ks are Procrustes-aligned in two
+    stacked calls: to F* for (b), the row l of F_l O_l - F*, and to F O for
+    (c), ||F O - F_l R_l||_F. Each bound is the maximum over the family, nan
+    kept.
     """
-    common = set(main.trace.k)
-    for res in loo.results.values():
-        common &= set(res.trace.k)
-    at = [i for i, k in enumerate(main.trace.k) if k in common]
-    if not loo.selectors or not at:
+    if not ks:
         return {}, {}
-    ks = [main.trace.k[i] for i in at]
     d1, star = f_star.x.shape[0], f_star.stacked()
-    target = np.stack([aligned[i] for i in at])
     lhs_b = lhs_c = np.zeros(len(ks))
     for sel in loo.selectors:
         res = loo.results[sel.l]
-        loo_idx = {k: i for i, k in enumerate(res.trace.k)}
-        f_l = [res.factors[loo_idx[k]] for k in ks]
-        x_l = np.stack([f.x for f in f_l])
-        y_l = np.stack([f.y for f in f_l])
-        stacked_l = np.concatenate((x_l, y_l), axis=1)
+        f_l = [res.factors[i] for i in np.searchsorted(res.trace.k, ks)]
+        stacked_l = np.stack([f.stacked() for f in f_l])
+        x_l, y_l = stacked_l[:, :d1], stacked_l[:, d1:]
         o_l = _procrustes(x_l, y_l, f_star.x, f_star.y)[0]
         r_l = _procrustes(x_l, y_l, target[:, :d1], target[:, d1:])[0]
         rows = (stacked_l @ o_l)[:, sel.l - 1] - star[sel.l - 1]
@@ -246,10 +242,13 @@ def hypothesis_check(main, loo, gt, s, p):
     """Evaluate the five induction bounds along a recorded run.
 
     `main` must be a RunResult with stored factors; `loo` a LooFamily from
-    the same instance and stride. The GL and Procrustes alignments of every
-    main iterate come from one stacked call, whose GL residuals are the
-    distances of clause (d), and those of the leave-one-out iterates from
-    two per selector.
+    the same instance and stride. The records are taken in slices of
+    DIST_CHUNK. A slice's main iterates are GL- and Procrustes-aligned in
+    one stacked call, whose GL residuals are the distances of clause (d),
+    and the leave-one-out iterates at those of its records that every run
+    of the family recorded in two per selector. Clause (d) decays from the
+    first record's distance. Each alignment of a stack treats its items
+    independently, so the rows do not depend on the slice size.
     Rows whose alignment fails, or whose left-hand side is not finite (a
     diverged run overflows), are marked unevaluable rather than failed. A
     satisfied row is flagged vacuous when its bound exceeds the trivial
@@ -262,12 +261,9 @@ def hypothesis_check(main, loo, gt, s, p):
     scale = spectral_norm(f_star_stacked)
     rhs_a, rhs_b, rhs_c, rhs_e = _bounds(gt, s, p)
     factor = 1.0 - s * gt.sigma_min / CONTRACTION_DENOMINATOR
-    q_all, o_all, gl_res, gl_converged = _align_stack(
-        np.stack([f.x for f in main.factors]),
-        np.stack([f.y for f in main.factors]), f_star)
-
-    aligned = [f.stacked() @ o for f, o in zip(main.factors, o_all)]
-    lhs_b, lhs_c = _loo_bounds(main, loo, aligned, f_star)
+    common = set(main.trace.k) if loo.selectors else set()
+    for res in loo.results.values():
+        common &= set(res.trace.k)
     report = HypothesisReport()
 
     def add(k, clause, lhs, rhs, satisfied, evaluable=True, vacuous=False):
@@ -277,26 +273,41 @@ def hypothesis_check(main, loo, gt, s, p):
             satisfied=bool(finite and satisfied),
             evaluable=bool(finite and evaluable), vacuous=bool(vacuous)))
 
-    for i, k in enumerate(main.trace.k):
-        # (a) spectral-norm proximity of the aligned iterate.
-        lhs_a = spectral_norm(aligned[i] - f_star_stacked)
-        add(k, "a", lhs_a, rhs_a, lhs_a <= rhs_a, vacuous=rhs_a > scale)
+    for start in range(0, len(main.factors), DIST_CHUNK):
+        ks = main.trace.k[start:start + DIST_CHUNK]
+        stacked = np.stack([f.stacked()
+                            for f in main.factors[start:start + DIST_CHUNK]])
+        q, o, gl_res, gl_converged = _align_stack(
+            stacked[:, :gt.d1], stacked[:, gt.d1:], f_star)
+        aligned = stacked @ o
+        del stacked  # from here only the aligned iterates are needed
+        if start == 0:
+            dist0 = gl_res[0]
+        shared = [i for i, k in enumerate(ks) if k in common]
+        lhs_b, lhs_c = _loo_bounds(loo, [ks[i] for i in shared],
+                                   aligned[shared], f_star)
 
-        # (b), (c): worst case over the leave-one-out family.
-        if k in lhs_b:
-            add(k, "b", lhs_b[k], rhs_b, lhs_b[k] <= rhs_b,
-                vacuous=rhs_b > scale)
-            add(k, "c", lhs_c[k], rhs_c, lhs_c[k] <= rhs_c,
-                vacuous=rhs_c > scale)
+        for i, k in enumerate(ks):
+            # (a) spectral-norm proximity of the aligned iterate.
+            lhs_a = spectral_norm(aligned[i] - f_star_stacked)
+            add(k, "a", lhs_a, rhs_a, lhs_a <= rhs_a, vacuous=rhs_a > scale)
 
-        # (d) linear decay of the aligned distance.
-        rhs_d = factor ** k * gl_res[0]
-        add(k, "d", gl_res[i], rhs_d, gl_res[i] <= rhs_d)
+            # (b), (c): worst case over the leave-one-out family.
+            if k in lhs_b:
+                add(k, "b", lhs_b[k], rhs_b, lhs_b[k] <= rhs_b,
+                    vacuous=rhs_b > scale)
+                add(k, "c", lhs_c[k], rhs_c, lhs_c[k] <= rhs_c,
+                    vacuous=rhs_c > scale)
 
-        # (e) proximity of the invertible and orthogonal alignments; a
-        # degenerate iterate has a nan GL residual.
-        lhs_e = (spectral_norm(q_all[i] - o_all[i])
-                 if np.isfinite(gl_res[i]) else np.nan)
-        add(k, "e", lhs_e, rhs_e, lhs_e <= rhs_e,
-            evaluable=gl_converged[i])
+            # (d) linear decay of the aligned distance from the first
+            # record's.
+            rhs_d = factor ** k * dist0
+            add(k, "d", gl_res[i], rhs_d, gl_res[i] <= rhs_d)
+
+            # (e) proximity of the invertible and orthogonal alignments; a
+            # degenerate iterate has a nan GL residual.
+            lhs_e = (spectral_norm(q[i] - o[i])
+                     if np.isfinite(gl_res[i]) else np.nan)
+            add(k, "e", lhs_e, rhs_e, lhs_e <= rhs_e,
+                evaluable=gl_converged[i])
     return report

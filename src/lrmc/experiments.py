@@ -65,6 +65,12 @@ class ExperimentSpec:
             raise ValueError(f"dimensions ({self.d1}, {self.d2}) must be >= 1")
         if self.r < 1 or any(r < 1 for r in self.r_grid):
             raise ValueError("r and every r_grid entry must be >= 1")
+        # Checked here, as a trial that raises is counted, not raised.
+        if any(r > min(self.d1, self.d2) for r in self.r_grid):
+            raise ValueError(f"every r_grid entry must be <= min(d1, d2)="
+                             f"{min(self.d1, self.d2)}")
+        if not self.kappa >= 1:
+            raise ValueError(f"kappa={self.kappa} must be >= 1")
         for p in (self.p,) + tuple(self.p_grid):
             _check_rate(p)
         for name, grid in (("p_grid", self.p_grid), ("r_grid", self.r_grid)):
@@ -95,10 +101,11 @@ class TrialResult:
     lam: float | None
     trial: int
     seed: int
-    status: str
+    status: str  # a run's status, or error when the trial raised
     iterations: int
     terminal_rel_err: float
     seconds_to_target: float | None  # wall time to reach 1e-8, if reached
+    message: str = ""  # the exception, for an error trial
 
 
 def derive_seed(master_seed, cell, algorithm, trial):
@@ -198,16 +205,25 @@ def _trial(spec, algorithm, lam, r, p, seed_gt, seed_mask, trial):
     """One solve to relative error SUCCESS_REL_ERR on a fresh instance.
 
     The clock covers spectral initialization plus the iterations; instance
-    generation is excluded. Success is a run that ends converged.
+    generation is excluded. Success is a run that ends converged. A trial
+    that raises is an error trial, so that the experiment goes on: its
+    message names the exception, and it has no iterations or time.
     """
-    gt = gen_ground_truth(spec.d1, spec.d2, r, spec.kappa, seed_gt)
-    mask = sample_mask(spec.d1, spec.d2, p, seed_mask)
-    t0 = time.perf_counter()
-    init = spectral_init(gt, mask, r)
-    cfg = SolverConfig(variant=_variant_for(algorithm, lam), step=spec.step,
-                       max_iters=spec.max_iters, tol=SUCCESS_REL_ERR,
-                       record_every=spec.max_iters)
-    res = run(gt, mask, cfg, init)
+    try:
+        gt = gen_ground_truth(spec.d1, spec.d2, r, spec.kappa, seed_gt)
+        mask = sample_mask(spec.d1, spec.d2, p, seed_mask)
+        t0 = time.perf_counter()
+        init = spectral_init(gt, mask, r)
+        cfg = SolverConfig(variant=_variant_for(algorithm, lam),
+                           step=spec.step, max_iters=spec.max_iters,
+                           tol=SUCCESS_REL_ERR, record_every=spec.max_iters)
+        res = run(gt, mask, cfg, init)
+    except Exception as exc:
+        return TrialResult(algorithm=algorithm, lam=lam, trial=trial,
+                           seed=seed_gt, status="error", iterations=0,
+                           terminal_rel_err=float("nan"),
+                           seconds_to_target=None,
+                           message=f"{type(exc).__name__}: {exc}")
     elapsed = time.perf_counter() - t0
     return TrialResult(algorithm=algorithm, lam=lam, trial=trial,
                        seed=seed_gt, status=res.status,
@@ -215,6 +231,15 @@ def _trial(spec, algorithm, lam, r, p, seed_gt, seed_mask, trial):
                        terminal_rel_err=res.trace.relative_error[-1],
                        seconds_to_target=(elapsed if res.status == "converged"
                                           else None))
+
+
+def _warn_errors(records):
+    """Name the trials that raised, which an experiment counts as failed."""
+    errors = [t for t in records if t.status == "error"]
+    if errors:
+        warnings.warn(f"{len(errors)} of {len(records)} trials raised, "
+                      f"counted as failed; the first: {errors[0].message}",
+                      stacklevel=3)
 
 
 def _phase_trial(task):
@@ -231,7 +256,8 @@ def run_phase(spec, csv_path=None, contour_csv_path=None):
     the first of spec.algorithms, with RGD at the last of spec.lambdas.
 
     Each trial draws a fresh target and mask. Success means terminal
-    relative error below 1e-8 within the iteration cap.
+    relative error below 1e-8 within the iteration cap; an error trial is
+    not a success.
     """
     if not spec.p_grid or not spec.r_grid:
         raise ValueError("phase experiment needs p_grid and r_grid")
@@ -253,6 +279,7 @@ def run_phase(spec, csv_path=None, contour_csv_path=None):
             records = list(pool.map(_phase_trial, tasks, chunksize=4))
     else:
         records = [_phase_trial(t) for t in tasks]
+    _warn_errors(records)
 
     converged = np.array([t.status == "converged" for t in records])
     successes = converged.reshape(len(spec.r_grid), len(spec.p_grid),
@@ -309,9 +336,12 @@ def run_timing(spec, csv_path=None):
 
     The timer covers spectral initialization plus the iterations; instance
     generation is excluded. All algorithms share each trial's instance.
-    Trials that never reach the target are excluded from the mean and
-    counted separately.
+    Trials that never reach the target, error trials included, are
+    excluded from the mean and counted separately.
     """
+    if spec.r > min(spec.d1, spec.d2):
+        raise ValueError(f"r={spec.r} exceeds min(d1, d2)="
+                         f"{min(spec.d1, spec.d2)}")
     results = {key: [] for key in _alg_lam_list(spec)}
     for trial in range(spec.trials):
         seed_gt = derive_seed(spec.master_seed, (4, trial), "VGD", 0)
@@ -319,6 +349,7 @@ def run_timing(spec, csv_path=None):
         for alg, lam in _alg_lam_list(spec):
             results[(alg, lam)].append(_trial(
                 spec, alg, lam, spec.r, spec.p, seed_gt, seed_mask, trial))
+    _warn_errors([t for trials in results.values() for t in trials])
     rows = []
     for (alg, lam), trials in results.items():
         ok = [t.seconds_to_target for t in trials

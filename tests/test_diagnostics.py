@@ -3,15 +3,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lrmc.diagnostics import (balancing_drift_check, concentration_check,
-                              contraction_check, default_selectors,
-                              hypothesis_check, run_loo_family)
+from lrmc import diagnostics
+from lrmc.diagnostics import (CONTRACTION_DENOMINATOR, HypothesisRow,
+                              _bounds, balancing_drift_check,
+                              concentration_check, contraction_check,
+                              default_selectors, hypothesis_check,
+                              run_loo_family)
 from lrmc.experiments import gen_ground_truth
-from lrmc.linalg import frobenius_norm
-from lrmc.metrics import procrustes_align
+from lrmc.linalg import frobenius_norm, spectral_norm
+from lrmc.metrics import _align_stack, _procrustes, procrustes_align
 from lrmc.model import FactorPair
 from lrmc.sampling import sample_mask
-from lrmc.solvers import SolverConfig, SolverVariant, run
+from lrmc.solvers import IterateTrace, SolverConfig, SolverVariant, run
 from lrmc.spectral import spectral_init
 
 
@@ -175,6 +178,110 @@ def test_hypothesis_loo_clauses_match_single_alignments():
     expected = _loo_clauses_one_at_a_time(main, loo, gt)
     assert 0 < len(expected) < 2 * len(main.trace.k)
     assert got == expected  # bitwise
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _hypothesis_rows_all_at_once(main, loo, gt, s, p):
+    """hypothesis_check with every record in one stack: all main iterates
+    aligned in one _align_stack call, and each selector's shared records in
+    two _procrustes calls. The reference for its slices."""
+    f_star = gt.optimal_pair()
+    star = f_star.stacked()
+    scale = spectral_norm(star)
+    rhs_a, rhs_b, rhs_c, rhs_e = _bounds(gt, s, p)
+    factor = 1.0 - s * gt.sigma_min / CONTRACTION_DENOMINATOR
+    q_all, o_all, gl_res, gl_converged = _align_stack(
+        np.stack([f.x for f in main.factors]),
+        np.stack([f.y for f in main.factors]), f_star)
+    aligned = [f.stacked() @ o for f, o in zip(main.factors, o_all)]
+
+    common = set(main.trace.k)
+    for res in loo.results.values():
+        common &= set(res.trace.k)
+    at = [i for i, k in enumerate(main.trace.k) if k in common]
+    lhs_b = lhs_c = {}
+    if loo.selectors and at:
+        ks = [main.trace.k[i] for i in at]
+        d1 = gt.d1
+        target = np.stack([aligned[i] for i in at])
+        b = c = np.zeros(len(ks))
+        for sel in loo.selectors:
+            res = loo.results[sel.l]
+            loo_idx = {k: i for i, k in enumerate(res.trace.k)}
+            f_l = [res.factors[loo_idx[k]] for k in ks]
+            x_l = np.stack([f.x for f in f_l])
+            y_l = np.stack([f.y for f in f_l])
+            stacked_l = np.concatenate((x_l, y_l), axis=1)
+            o_l = _procrustes(x_l, y_l, f_star.x, f_star.y)[0]
+            r_l = _procrustes(x_l, y_l, target[:, :d1], target[:, d1:])[0]
+            rows = (stacked_l @ o_l)[:, sel.l - 1] - star[sel.l - 1]
+            b = np.maximum(b, [np.linalg.norm(v) for v in rows])
+            c = np.maximum(c, [frobenius_norm(v)
+                               for v in target - stacked_l @ r_l])
+        lhs_b, lhs_c = dict(zip(ks, b)), dict(zip(ks, c))
+
+    out = []
+
+    def add(k, clause, lhs, rhs, satisfied, evaluable=True, vacuous=False):
+        finite = bool(np.isfinite(lhs))
+        out.append(HypothesisRow(
+            k=k, clause=clause, lhs=float(lhs), rhs=float(rhs),
+            satisfied=bool(finite and satisfied),
+            evaluable=bool(finite and evaluable), vacuous=bool(vacuous)))
+
+    for i, k in enumerate(main.trace.k):
+        lhs_a = spectral_norm(aligned[i] - star)
+        add(k, "a", lhs_a, rhs_a, lhs_a <= rhs_a, vacuous=rhs_a > scale)
+        if k in lhs_b:
+            add(k, "b", lhs_b[k], rhs_b, lhs_b[k] <= rhs_b,
+                vacuous=rhs_b > scale)
+            add(k, "c", lhs_c[k], rhs_c, lhs_c[k] <= rhs_c,
+                vacuous=rhs_c > scale)
+        rhs_d = factor ** k * gl_res[0]
+        add(k, "d", gl_res[i], rhs_d, gl_res[i] <= rhs_d)
+        lhs_e = (spectral_norm(q_all[i] - o_all[i])
+                 if np.isfinite(gl_res[i]) else np.nan)
+        add(k, "e", lhs_e, rhs_e, lhs_e <= rhs_e, evaluable=gl_converged[i])
+    return out
+
+
+def _exact(rows):
+    """Rows as comparable tuples, floats by repr: bitwise, nan included."""
+    return [(r.k, r.clause, repr(r.lhs), repr(r.rhs), r.satisfied,
+             r.evaluable, r.vacuous) for r in rows]
+
+
+@pytest.fixture(scope="module")
+def nine_record_run():
+    """A main run of 9 records (k = 0..8) and a family that stops at k = 5."""
+    gt = gen_ground_truth(30, 20, 3, 2.0, seed=0)
+    mask = sample_mask(30, 20, 0.5, seed=1)
+    cfg = SolverConfig(variant=SolverVariant.vanilla(), step=0.5,
+                       max_iters=8, tol=1e-15, record_every=1,
+                       store_factors=True)
+    main = run(gt, mask, cfg, spectral_init(gt, mask, 3))
+    loo = run_loo_family(gt, mask, dataclasses.replace(cfg, max_iters=5),
+                         default_selectors(30, 20, 2, 2))
+    assert main.trace.k == list(range(9))
+    return gt, main, loo
+
+
+@pytest.mark.parametrize("records", [1, 3, 4, 5, 9])
+def test_hypothesis_slices_match_all_records_at_once(nine_record_run,
+                                                      records, monkeypatch):
+    # Slices of 4 records: 1, chunk - 1, chunk, chunk + 1 and 2 chunk + 1
+    # records. At 9 records the second slice is partly, and the third
+    # wholly, past the family's last record, so without (b) and (c).
+    monkeypatch.setattr(diagnostics, "DIST_CHUNK", 4)
+    gt, main, loo = nine_record_run
+    trace = IterateTrace(**{f.name: getattr(main.trace, f.name)[:records]
+                            for f in dataclasses.fields(main.trace)})
+    main = dataclasses.replace(main, trace=trace,
+                               factors=main.factors[:records])
+    rep = hypothesis_check(main, loo, gt, s=0.5, p=0.5)
+    expected = _hypothesis_rows_all_at_once(main, loo, gt, s=0.5, p=0.5)
+    assert _exact(rep.rows) == _exact(expected)
+    assert len(rep.clause_rows("b")) == min(records, 6)
 
 
 def test_hypothesis_csv_roundtrip(small_theory_run, tmp_path):

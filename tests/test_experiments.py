@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import multiprocessing
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from lrmc.experiments import (ExperimentSpec, PhaseGrid, derive_seed,
                               extract_contour, gen_ground_truth,
                               run_convergence, run_phase, run_timing,
                               write_summary)
+from lrmc.spectral import spectral_init
 
 
 def test_spec_validation():
@@ -203,6 +205,53 @@ def test_run_phase_requires_grids():
     spec = ExperimentSpec(d1=10, d2=8, r=2)
     with pytest.raises(ValueError):
         run_phase(spec)
+
+
+def _fails_at_rank_4(gt, mask, r):
+    if r == 4:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return spectral_init(gt, mask, r)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_phase_goes_on_past_a_raising_trial(jobs, monkeypatch):
+    if jobs > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patch reaches worker processes only through fork")
+    monkeypatch.setattr(experiments, "spectral_init", _fails_at_rank_4)
+    spec = ExperimentSpec(d1=20, d2=16, r=2, kappa=1.0, step=0.5, trials=2,
+                          master_seed=3, max_iters=600, p_grid=(0.5, 1.0),
+                          r_grid=(2, 4), algorithms=("VGD",), jobs=jobs)
+    with pytest.warns(UserWarning, match="^4 of 8 trials raised, counted as "
+                      "failed; the first: LinAlgError: SVD did not converge"):
+        grid = run_phase(spec)
+    assert grid.successes[1].tolist() == [0, 0]
+    assert grid.successes[0].tolist() == run_phase(
+        dataclasses.replace(spec, r_grid=(2,))).successes[0].tolist()
+
+
+def test_error_trial_has_no_success_and_no_time(monkeypatch):
+    monkeypatch.setattr(experiments, "spectral_init", _fails_at_rank_4)
+    spec = ExperimentSpec(d1=20, d2=16, r=4, p=0.5, step=0.5, trials=2,
+                          max_iters=50, algorithms=("VGD", "BGD"))
+    t = experiments._trial(spec, "VGD", None, 4, 0.5, 7, 8, 1)
+    assert (t.status, t.iterations, t.seconds_to_target, t.message) == (
+        "error", 0, None, "LinAlgError: SVD did not converge")
+    assert np.isnan(t.terminal_rel_err)
+    with pytest.warns(UserWarning, match="^4 of 4 trials raised"):
+        rows = run_timing(spec)
+    assert [(r["n_ok"], r["n_fail"], r["mean_s"]) for r in rows] == [
+        (0, 2, "")] * 2
+
+
+def test_bad_instance_settings_raise_before_any_trial():
+    # A trial that raises is counted as an error trial, so settings that
+    # would make every trial raise are refused up front.
+    for bad in (dict(kappa=0.5), dict(kappa=float("nan")),
+                dict(p_grid=(0.5,), r_grid=(2, 9))):
+        with pytest.raises(ValueError):
+            ExperimentSpec(**{"d1": 10, "d2": 8, "r": 2, **bad})
+    with pytest.raises(ValueError, match="exceeds min"):
+        run_timing(ExperimentSpec(d1=10, d2=8, r=9, trials=1))
 
 
 def test_run_timing_rows(tmp_path):

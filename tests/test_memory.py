@@ -1,4 +1,4 @@
-"""Traced peak memory of the large-problem path.
+"""Traced peak memory of the large-problem path and of the theory checker.
 
 Above DENSE_SIZE_LIMIT and FULL_SVD_DIM_LIMIT the library works on the
 observed cells, so no call may hold a transient d1 x d2 float64 matrix on
@@ -6,6 +6,9 @@ top of what its caller already holds: the target's check, the mask draw,
 both spectral starts, the problem's set-up and the solve. The target
 m_star is given both C-ordered and F-ordered, since a relabelled or
 transposed target is F-ordered and reading it must not copy it.
+
+hypothesis_check works through a run's records in slices of DIST_CHUNK,
+so its transient memory does not grow with the number of records.
 """
 
 import tracemalloc
@@ -13,27 +16,36 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lrmc.diagnostics import (default_selectors, hypothesis_check,
+                              run_loo_family)
 from lrmc.experiments import gen_ground_truth
 from lrmc.metrics import relative_error
 from lrmc.model import GroundTruth
 from lrmc.sampling import LooSelector, sample_mask
-from lrmc.solvers import (DENSE_SIZE_LIMIT, SolverConfig, SolverVariant,
-                          _Problem, run)
+from lrmc.solvers import (DENSE_SIZE_LIMIT, DIST_CHUNK, SolverConfig,
+                          SolverVariant, _Problem, run)
 from lrmc.spectral import FULL_SVD_DIM_LIMIT, loo_init, spectral_init
 
 D1, D2, R, P = 1200, 1100, 3, 0.03
 MATRIX = D1 * D2 * 8  # bytes of one d1 x d2 float64 matrix
 
 
-def traced_peak(fn):
-    """Peak traced bytes while fn() runs, above what was traced before."""
+def traced(fn):
+    """(peak, kept): traced bytes at the peak while fn() runs and once it
+    has returned, with its result held, above what was traced before."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - before
+        out = fn()  # noqa: F841, held while the kept bytes are read
+        kept, peak = tracemalloc.get_traced_memory()
+        return peak - before, kept - before
     finally:
         tracemalloc.stop()
+
+
+def traced_peak(fn):
+    """Peak traced bytes while fn() runs, above what was traced before."""
+    return traced(fn)[0]
 
 
 @pytest.fixture(scope="module", params=["C", "F"])
@@ -81,3 +93,27 @@ def test_relative_error_holds_one_dense_temporary(instance):
     gt, _, f0 = instance
     peak = traced_peak(lambda: relative_error(f0, gt.m_star))
     assert peak < 1.5 * MATRIX, f"{peak / MATRIX:.2f} d1 x d2 matrices"
+
+
+def test_hypothesis_check_transient_is_one_slice():
+    # A theory-style instance (kappa = 2) that takes 536 iterations: at
+    # record_every=5 its 109 records fill several slices as well, so the
+    # checker's transient, its peak less the report it keeps, is the same
+    # one-slice working set at both strides. Stacking every record instead
+    # costs about 5 (d1 + d2) r float64 per record.
+    d1, d2, r, p = 90, 60, 3, 0.3
+    gt = gen_ground_truth(d1, d2, r, 2.0, seed=3)
+    mask = sample_mask(d1, d2, p, seed=4)
+    f0 = spectral_init(gt, mask, r)
+    transient = {}
+    for every in (1, 5):
+        cfg = SolverConfig(SolverVariant.vanilla(), step=0.5, max_iters=5000,
+                           tol=1e-13, record_every=every, store_factors=True)
+        main = run(gt, mask, cfg, f0)
+        loo = run_loo_family(gt, mask, cfg, default_selectors(d1, d2, 2, 2))
+        assert len(main.factors) > 3 * DIST_CHUNK
+        peak, kept = traced(lambda: hypothesis_check(main, loo, gt, 0.5, p))
+        transient[every] = peak - kept
+    one_slice = DIST_CHUNK * (d1 + d2) * r * 8
+    assert transient[1] - transient[5] <= one_slice, (
+        f"{(transient[1] - transient[5]) / one_slice:.1f} slices")
