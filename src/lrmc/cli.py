@@ -216,7 +216,7 @@ def _run_phase(ns, spec, out):
         "mean_rate": float(grid.rates.mean())})
     if ns.verbose:
         print(f"wrote {out / 'phase.csv'}")
-    return 0
+    return _trial_errors(grid.errors)
 
 
 def _run_timing(ns, spec, out):
@@ -225,6 +225,14 @@ def _run_timing(ns, spec, out):
         "configs": len(rows)})
     if ns.verbose:
         print(f"wrote {out / 'timing.csv'}")
+    return _trial_errors(sum(row["n_error"] for row in rows))
+
+
+def _trial_errors(count):
+    # The outputs are written; trials that raised still fail the command.
+    if count:
+        print(f"lrmc: {count} trials raised", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -7,8 +7,8 @@ term, and sampling-concentration spot checks. The unspecified constants of
 the theory are set to 1, so reports carry slack values rather than
 pass/fail theorem claims. The induction bounds are evaluated over a run's
 records in slices of DIST_CHUNK, each slice's iterates aligned in stacked
-calls, so the checker's working set is one slice's however many records
-the run holds.
+calls, so the checker's working set is one slice, however many records the
+run holds.
 """
 
 import csv

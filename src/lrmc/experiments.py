@@ -65,12 +65,6 @@ class ExperimentSpec:
             raise ValueError(f"dimensions ({self.d1}, {self.d2}) must be >= 1")
         if self.r < 1 or any(r < 1 for r in self.r_grid):
             raise ValueError("r and every r_grid entry must be >= 1")
-        # Checked here, as a trial that raises is counted, not raised.
-        if any(r > min(self.d1, self.d2) for r in self.r_grid):
-            raise ValueError(f"every r_grid entry must be <= min(d1, d2)="
-                             f"{min(self.d1, self.d2)}")
-        if not self.kappa >= 1:
-            raise ValueError(f"kappa={self.kappa} must be >= 1")
         for p in (self.p,) + tuple(self.p_grid):
             _check_rate(p)
         for name, grid in (("p_grid", self.p_grid), ("r_grid", self.r_grid)):
@@ -89,6 +83,7 @@ class PhaseGrid:
     r_values: tuple
     trials: int
     successes: np.ndarray  # len(r_values) x len(p_values) counts
+    errors: int = 0  # trials that raised, counted as failed
 
     @property
     def rates(self):
@@ -201,24 +196,30 @@ def run_convergence(spec, csv_path=None, compute_dist=True, record_every=1):
     return rows
 
 
-def _trial(spec, algorithm, lam, r, p, seed_gt, seed_mask, trial):
+def _solver_config(spec, algorithm, lam):
+    """Trial solver settings, built before any trial so bad ones raise."""
+    return SolverConfig(variant=_variant_for(algorithm, lam), step=spec.step,
+                        max_iters=spec.max_iters, tol=SUCCESS_REL_ERR,
+                        record_every=spec.max_iters)
+
+
+def _trial(spec, cfg, algorithm, lam, r, p, seed_gt, seed_mask, trial):
     """One solve to relative error SUCCESS_REL_ERR on a fresh instance.
 
     The clock covers spectral initialization plus the iterations; instance
     generation is excluded. Success is a run that ends converged. A trial
-    that raises is an error trial, so that the experiment goes on: its
-    message names the exception, and it has no iterations or time.
+    whose numerics fail (an SVD that does not converge, a target that stays
+    rank-deficient) is an error trial, so that the experiment goes on: its
+    message names the exception, and it has no iterations or time. Bad
+    settings and programming errors still raise.
     """
     try:
         gt = gen_ground_truth(spec.d1, spec.d2, r, spec.kappa, seed_gt)
         mask = sample_mask(spec.d1, spec.d2, p, seed_mask)
         t0 = time.perf_counter()
         init = spectral_init(gt, mask, r)
-        cfg = SolverConfig(variant=_variant_for(algorithm, lam),
-                           step=spec.step, max_iters=spec.max_iters,
-                           tol=SUCCESS_REL_ERR, record_every=spec.max_iters)
         res = run(gt, mask, cfg, init)
-    except Exception as exc:
+    except (np.linalg.LinAlgError, RuntimeError) as exc:
         return TrialResult(algorithm=algorithm, lam=lam, trial=trial,
                            seed=seed_gt, status="error", iterations=0,
                            terminal_rel_err=float("nan"),
@@ -233,13 +234,15 @@ def _trial(spec, algorithm, lam, r, p, seed_gt, seed_mask, trial):
                                           else None))
 
 
-def _warn_errors(records):
-    """Name the trials that raised, which an experiment counts as failed."""
+def _count_errors(records):
+    """Warn once about the trials that raised, which an experiment counts
+    as failed, and return how many there were."""
     errors = [t for t in records if t.status == "error"]
     if errors:
         warnings.warn(f"{len(errors)} of {len(records)} trials raised, "
                       f"counted as failed; the first: {errors[0].message}",
                       stacklevel=3)
+    return len(errors)
 
 
 def _phase_trial(task):
@@ -263,6 +266,7 @@ def run_phase(spec, csv_path=None, contour_csv_path=None):
         raise ValueError("phase experiment needs p_grid and r_grid")
     algorithm = spec.algorithms[0]
     lam = spec.lambdas[-1] if algorithm == "RGD" else None
+    cfg = _solver_config(spec, algorithm, lam)
     tasks = []
     for ri, r in enumerate(spec.r_grid):
         for pi, p in enumerate(spec.p_grid):
@@ -271,7 +275,7 @@ def run_phase(spec, csv_path=None, contour_csv_path=None):
                                       algorithm, trial)
                 seed_mask = derive_seed(spec.master_seed, (3, ri, pi, trial),
                                         algorithm, trial)
-                tasks.append(partial(_trial, spec, algorithm, lam, r, p,
+                tasks.append(partial(_trial, spec, cfg, algorithm, lam, r, p,
                                      seed_gt, seed_mask, trial))
     if spec.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # ~15 ms to load
@@ -279,13 +283,13 @@ def run_phase(spec, csv_path=None, contour_csv_path=None):
             records = list(pool.map(_phase_trial, tasks, chunksize=4))
     else:
         records = [_phase_trial(t) for t in tasks]
-    _warn_errors(records)
+    errors = _count_errors(records)
 
     converged = np.array([t.status == "converged" for t in records])
     successes = converged.reshape(len(spec.r_grid), len(spec.p_grid),
                                   spec.trials).sum(axis=2, dtype=np.int64)
     grid = PhaseGrid(p_values=tuple(spec.p_grid), r_values=tuple(spec.r_grid),
-                     trials=spec.trials, successes=successes)
+                     trials=spec.trials, successes=successes, errors=errors)
     if csv_path is not None:
         rows = []
         for ri, r in enumerate(grid.r_values):
@@ -339,17 +343,16 @@ def run_timing(spec, csv_path=None):
     Trials that never reach the target, error trials included, are
     excluded from the mean and counted separately.
     """
-    if spec.r > min(spec.d1, spec.d2):
-        raise ValueError(f"r={spec.r} exceeds min(d1, d2)="
-                         f"{min(spec.d1, spec.d2)}")
-    results = {key: [] for key in _alg_lam_list(spec)}
+    configs = {key: _solver_config(spec, *key) for key in _alg_lam_list(spec)}
+    results = {key: [] for key in configs}
     for trial in range(spec.trials):
         seed_gt = derive_seed(spec.master_seed, (4, trial), "VGD", 0)
         seed_mask = derive_seed(spec.master_seed, (5, trial), "VGD", 0)
-        for alg, lam in _alg_lam_list(spec):
+        for (alg, lam), cfg in configs.items():
             results[(alg, lam)].append(_trial(
-                spec, alg, lam, spec.r, spec.p, seed_gt, seed_mask, trial))
-    _warn_errors([t for trials in results.values() for t in trials])
+                spec, cfg, alg, lam, spec.r, spec.p, seed_gt, seed_mask,
+                trial))
+    _count_errors([t for trials in results.values() for t in trials])
     rows = []
     for (alg, lam), trials in results.items():
         ok = [t.seconds_to_target for t in trials
@@ -359,11 +362,13 @@ def run_timing(spec, csv_path=None):
                "algorithm": alg if lam is None else f"{alg}(lam={lam:g})",
                "n_ok": len(ok), "n_fail": len(trials) - len(ok),
                "mean_s": repr(float(np.mean(ok))) if ok else "",
-               "median_s": repr(float(np.median(ok))) if ok else ""}
+               "median_s": repr(float(np.median(ok))) if ok else "",
+               "n_error": sum(t.status == "error" for t in trials)}
         rows.append(row)
     if csv_path is not None:
         _write_csv(csv_path, ["d1", "d2", "r", "p", "kappa", "algorithm",
-                              "n_ok", "n_fail", "mean_s", "median_s"], rows)
+                              "n_ok", "n_fail", "mean_s", "median_s",
+                              "n_error"], rows)
     return rows
 
 

@@ -162,6 +162,21 @@ def test_phase_end_to_end(tmp_path):
     assert len(rows) == 4
 
 
+@pytest.mark.parametrize("command", ["phase", "timing"])
+def test_trials_that_raise_fail_the_command(command, tmp_path, monkeypatch,
+                                            capsys):
+    def fails(gt, mask, r):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(experiments, "spectral_init", fails)
+    args = [command, *SMALL, "--algs", "VGD", "--out", str(tmp_path)]
+    if command == "phase":
+        args += ["--p-grid", "0.6", "--r-grid", "2"]
+    with pytest.warns(UserWarning, match="1 of 1 trials raised"):
+        assert main(args) == 1
+    assert "lrmc: 1 trials raised" in capsys.readouterr().err
+    assert (tmp_path / f"{command}.csv").exists()
+
+
 def test_timing_end_to_end(tmp_path):
     code = main(["timing", *SMALL, "--algs", "VGD,BGD",
                  "--out", str(tmp_path)])

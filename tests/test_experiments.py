@@ -224,6 +224,7 @@ def test_run_phase_goes_on_past_a_raising_trial(jobs, monkeypatch):
     with pytest.warns(UserWarning, match="^4 of 8 trials raised, counted as "
                       "failed; the first: LinAlgError: SVD did not converge"):
         grid = run_phase(spec)
+    assert grid.errors == 4
     assert grid.successes[1].tolist() == [0, 0]
     assert grid.successes[0].tolist() == run_phase(
         dataclasses.replace(spec, r_grid=(2,))).successes[0].tolist()
@@ -233,25 +234,47 @@ def test_error_trial_has_no_success_and_no_time(monkeypatch):
     monkeypatch.setattr(experiments, "spectral_init", _fails_at_rank_4)
     spec = ExperimentSpec(d1=20, d2=16, r=4, p=0.5, step=0.5, trials=2,
                           max_iters=50, algorithms=("VGD", "BGD"))
-    t = experiments._trial(spec, "VGD", None, 4, 0.5, 7, 8, 1)
+    cfg = experiments._solver_config(spec, "VGD", None)
+    t = experiments._trial(spec, cfg, "VGD", None, 4, 0.5, 7, 8, 1)
     assert (t.status, t.iterations, t.seconds_to_target, t.message) == (
         "error", 0, None, "LinAlgError: SVD did not converge")
     assert np.isnan(t.terminal_rel_err)
     with pytest.warns(UserWarning, match="^4 of 4 trials raised"):
         rows = run_timing(spec)
-    assert [(r["n_ok"], r["n_fail"], r["mean_s"]) for r in rows] == [
-        (0, 2, "")] * 2
+    assert [(r["n_ok"], r["n_fail"], r["mean_s"], r["n_error"])
+            for r in rows] == [(0, 2, "", 2)] * 2
 
 
-def test_bad_instance_settings_raise_before_any_trial():
-    # A trial that raises is counted as an error trial, so settings that
-    # would make every trial raise are refused up front.
-    for bad in (dict(kappa=0.5), dict(kappa=float("nan")),
-                dict(p_grid=(0.5,), r_grid=(2, 9))):
+def test_bad_settings_still_raise():
+    # Only a trial's numeric failures become error trials.
+    phase = dict(d1=10, d2=8, r=2, trials=1, max_iters=5, p_grid=(0.5,),
+                 r_grid=(2,), algorithms=("VGD",))
+    for bad in (dict(kappa=0.5), dict(r_grid=(2, 9)), dict(step=0.0)):
         with pytest.raises(ValueError):
-            ExperimentSpec(**{"d1": 10, "d2": 8, "r": 2, **bad})
+            run_phase(ExperimentSpec(**{**phase, **bad}))
     with pytest.raises(ValueError, match="exceeds min"):
         run_timing(ExperimentSpec(d1=10, d2=8, r=9, trials=1))
+
+
+def _warns(*args):
+    warnings.warn("overflow encountered in matmul", RuntimeWarning)
+
+
+def _type_error(*args):
+    raise TypeError("a bug in the solve")
+
+
+@pytest.mark.parametrize("fake_run, error", [(_warns, RuntimeWarning),
+                                             (_type_error, TypeError)])
+def test_run_phase_raises_what_a_trial_does_not_count(fake_run, error,
+                                                      monkeypatch):
+    monkeypatch.setattr(experiments, "run", fake_run)
+    spec = ExperimentSpec(d1=20, d2=16, r=2, trials=1, max_iters=5,
+                          p_grid=(0.5,), r_grid=(2,), algorithms=("VGD",))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error):
+            run_phase(spec)
 
 
 def test_run_timing_rows(tmp_path):
