@@ -18,43 +18,39 @@ from .spectral import spectral_init
 __all__ = ["parse_args", "dispatch", "main"]
 
 
-def _rate(text):
-    value = float(text)
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
-    return value
-
-
-def _positive(kind):
+def _checked(kind, field=None, grid=False):
+    """A flag's converter: the text as `kind` (with `grid`, a tuple of them
+    split at commas), checked as ExperimentSpec checks `field`."""
     def convert(text):
-        value = kind(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-        return value
-    return convert
-
-
-def _grid(kind):
-    def convert(text):
-        return tuple(kind(tok) for tok in text.split(","))
+        try:
+            value = tuple(map(kind, text.split(","))) if grid else kind(text)
+            return experiments._CHECKS[field](value) if field else value
+        except (TypeError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return convert
 
 
 # Every key a config file may set, by flag name, and its converter. The
 # flags are built from this table, so a value gets the same checks from a
 # config file as from the command line.
-_POS_INT, _POS_FLOAT = _positive(int), _positive(float)
 _CONVERT = {
-    "d1": _POS_INT, "d2": _POS_INT, "r": _POS_INT, "p": _rate,
-    "kappa": _POS_FLOAT, "s": _POS_FLOAT, "lambda": _grid(_POS_FLOAT),
-    "trials": _POS_INT, "seed": int, "tol": _POS_FLOAT,
-    "max-iters": _POS_INT, "algs": _grid(str), "jobs": _POS_INT,
-    "out": Path, "p-grid": _grid(_rate), "r-grid": _grid(_POS_INT),
-    "selectors": _grid(int), "kind": str, "csv": Path,
+    "d1": _checked(int, "d1"), "d2": _checked(int, "d2"),
+    "r": _checked(int, "r"), "p": _checked(float, "p"),
+    "kappa": _checked(float, "kappa"), "s": _checked(float, "step"),
+    "lambda": _checked(float, "lambdas", grid=True),
+    "trials": _checked(int, "trials"), "seed": _checked(int, "master_seed"),
+    "tol": _checked(float, "tol"), "max-iters": _checked(int, "max_iters"),
+    "algs": _checked(str, "algorithms", grid=True),
+    "jobs": _checked(int, "jobs"), "out": Path,
+    "p-grid": _checked(float, "p_grid", grid=True),
+    "r-grid": _checked(int, "r_grid", grid=True),
+    "selectors": _checked(int, grid=True), "kind": str, "csv": Path,
 }
 _DEST = {"s": "step", "lambda": "lambdas", "csv": "csv_path"}
 _HELP = {"lambda": "comma-separated RGD parameters", "out": "output directory",
-         "selectors": "comma-separated leave-one-out indices; 0 for none"}
+         "selectors": "comma-separated leave-one-out indices; 0 for none",
+         "tol": "stopping tolerance; phase and timing ignore it and stop at "
+                f"relative error {experiments.SUCCESS_REL_ERR:g}"}
 
 
 def _dest(key):
@@ -79,7 +75,7 @@ DEFAULTS = {
     "d1": 160, "d2": 100, "r": 5, "p": 0.2, "kappa": 1.0, "step": 0.5,
     "lambdas": (1e-6, 1e-10), "trials": 50, "seed": 0, "tol": 1e-14,
     "max_iters": 5000, "algs": ("VGD", "RGD", "BGD"), "jobs": 1,
-    "out": Path("."),
+    "out": Path("."), "p_grid": (), "r_grid": (), "selectors": None,
 }
 
 
@@ -101,7 +97,7 @@ def _load_config(path, parser):
             parser.error(f"{path}:{lineno}: unknown key {key!r}")
         try:
             values[_dest(key)] = _CONVERT[key](raw.strip())
-        except (ValueError, argparse.ArgumentTypeError) as exc:
+        except argparse.ArgumentTypeError as exc:
             parser.error(f"{path}:{lineno}: {key}: {exc}")
     return values
 
@@ -146,16 +142,16 @@ def parse_args(argv):
         return args
     merged = dict(DEFAULTS)
     if os.environ.get("LRMC_SEED"):
-        merged["seed"] = int(os.environ["LRMC_SEED"])
+        try:
+            merged["seed"] = _CONVERT["seed"](os.environ["LRMC_SEED"])
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"LRMC_SEED: {exc}")
     config = getattr(args, "config", None)
     if config is not None:
         merged.update(_load_config(config, parser))
     for key, value in vars(args).items():
         if value is not None:
             merged[key] = value
-    merged.setdefault("p_grid", ())
-    merged.setdefault("r_grid", ())
-    merged.setdefault("selectors", None)
     ns = argparse.Namespace(**merged)
     ns.subcommand = args.subcommand
     ns.verbose = bool(getattr(args, "verbose", False))
@@ -180,16 +176,9 @@ def dispatch(ns):
             return 0
         out = Path(ns.out)
         out.mkdir(parents=True, exist_ok=True)
-        spec = _spec_from(ns)
-        if ns.subcommand == "converge":
-            return _run_converge(ns, spec, out)
-        if ns.subcommand == "phase":
-            return _run_phase(ns, spec, out)
-        if ns.subcommand == "timing":
-            return _run_timing(ns, spec, out)
-        if ns.subcommand == "theory":
-            return _run_theory(ns, spec, out)
-        raise AssertionError(ns.subcommand)
+        runner = {"converge": _run_converge, "phase": _run_phase,
+                  "timing": _run_timing, "theory": _run_theory}
+        return runner[ns.subcommand](ns, _spec_from(ns), out)
     except (OSError, ValueError, svgplot.SchemaError) as exc:
         print(f"lrmc: error: {exc}", file=sys.stderr)
         return 1

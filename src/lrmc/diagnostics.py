@@ -13,14 +13,15 @@ run holds.
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .linalg import frobenius_norm, spectral_norm
 from .metrics import _align_stack, _procrustes
+from .model import _check_int
 from .sampling import LooSelector, project
-from .solvers import DIST_CHUNK, SolverConfig, SolverVariant, run
+from .solvers import DIST_CHUNK, SolverVariant, run
 from .spectral import loo_init
 
 __all__ = [
@@ -97,8 +98,7 @@ def concentration_check(mask, p, trials, seed):
 
     A diagnostic (the theory's constant is unspecified), not a pass/fail.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_int(trials, "trials")
     rng = np.random.default_rng(seed)
     d1, d2 = mask.d1, mask.d2
     r = max(1, min(d1, d2) // 8)
@@ -141,11 +141,8 @@ def run_loo_family(gt, mask, config, selectors):
     each selector, recording iterates at the given stride."""
     results = {}
     for sel in selectors:
-        sel.validate(gt.d1, gt.d2)
-        cfg = SolverConfig(variant=SolverVariant.leave_one_out(sel),
-                           step=config.step, max_iters=config.max_iters,
-                           tol=config.tol, record_every=config.record_every,
-                           compute_dist=False, store_factors=True)
+        cfg = replace(config, variant=SolverVariant.leave_one_out(sel),
+                      compute_dist=False, store_factors=True)
         init = loo_init(gt, mask, gt.r, sel)
         results[sel.l] = run(gt, mask, cfg, init)
     return LooFamily(selectors=tuple(selectors), results=results)

@@ -10,16 +10,16 @@ import hashlib
 import json
 import time
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from functools import partial
 
 import numpy as np
 
 from .metrics import incoherence
-from .model import GroundTruth
-from .sampling import _check_rate, sample_mask
+from .model import GroundTruth, _check_int, _check_real, _must
+from .sampling import sample_mask
 from .solvers import SolverConfig, SolverVariant, run
-from .spectral import spectral_init
+from .spectral import _check_rank, spectral_init
 
 __all__ = [
     "ExperimentSpec",
@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 ALGORITHMS = ("VGD", "RGD", "BGD")
+# The solver variant each algorithm runs; RGD's lam is one of spec.lambdas.
+_VARIANT_TAG = dict(zip(ALGORITHMS, ("vanilla", "regularized", "balancing")))
 SUCCESS_REL_ERR = 1e-8
 # Draws of the +-1 matrices gen_ground_truth makes before it gives up. At
 # d = r they are often singular: over seeds 0-999 at d = r <= 6 the most
@@ -42,7 +44,35 @@ SUCCESS_REL_ERR = 1e-8
 GROUND_TRUTH_ATTEMPTS = 256
 
 
-@dataclass
+def _check_grid(values, name="", check=_check_real, increasing=True):
+    """A tuple setting: each entry by `check`, increasing if `increasing`."""
+    out = tuple(check(v, name) for v in values)
+    if increasing and any(b <= a for a, b in zip(out, out[1:])):
+        raise ValueError(_must(name, "strictly increasing", values))
+    return out
+
+
+def _check_algorithms(names, name=""):
+    if not names or set(names) - set(ALGORITHMS):
+        raise ValueError(_must(name, f"one or more of {ALGORITHMS}", names))
+    return tuple(names)
+
+
+_RATE = partial(_check_real, interval="(0, 1]")
+# The check of every field of ExperimentSpec. The CLI's flags apply the
+# same checks, so a setting the spec rejects is a usage error there.
+_CHECKS = {
+    "d1": _check_int, "d2": _check_int, "r": _check_int,
+    "kappa": partial(_check_real, interval="[1, inf)"), "p": _RATE,
+    "step": _check_real, "lambdas": partial(_check_grid, increasing=False),
+    "trials": _check_int, "master_seed": partial(_check_int, low=0),
+    "algorithms": _check_algorithms, "max_iters": _check_int,
+    "tol": _check_real, "p_grid": partial(_check_grid, check=_RATE),
+    "r_grid": partial(_check_grid, check=_check_int), "jobs": _check_int,
+}
+
+
+@dataclass(frozen=True)
 class ExperimentSpec:
     d1: int
     d2: int
@@ -61,20 +91,10 @@ class ExperimentSpec:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.d1 < 1 or self.d2 < 1:
-            raise ValueError(f"dimensions ({self.d1}, {self.d2}) must be >= 1")
-        if self.r < 1 or any(r < 1 for r in self.r_grid):
-            raise ValueError("r and every r_grid entry must be >= 1")
-        for p in (self.p,) + tuple(self.p_grid):
-            _check_rate(p)
-        for name, grid in (("p_grid", self.p_grid), ("r_grid", self.r_grid)):
-            if grid and any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ValueError(f"{name} must be strictly increasing")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        unknown = set(self.algorithms) - set(ALGORITHMS)
-        if unknown:
-            raise ValueError(f"unknown algorithms: {sorted(unknown)}")
+        for f in fields(self):
+            _CHECKS[f.name](getattr(self, f.name), f.name)
+        if "RGD" in self.algorithms and not self.lambdas:
+            raise ValueError("lambdas must hold one or more values for RGD")
 
 
 @dataclass
@@ -114,10 +134,9 @@ def derive_seed(master_seed, cell, algorithm, trial):
 def gen_ground_truth(d1, d2, r, kappa, seed):
     """Planted target: orthonormal factors from QR of random +-1 matrices,
     singular values linearly spaced from 1 down to 1/kappa."""
-    if kappa < 1:
-        raise ValueError(f"kappa={kappa} must be >= 1")
-    if r > min(d1, d2):
-        raise ValueError(f"r={r} exceeds min(d1, d2)={min(d1, d2)}")
+    d1, d2 = (_check_int(d, "dimensions d1, d2") for d in (d1, d2))
+    _check_rank(r, d1, d2)
+    kappa = _check_real(kappa, "kappa", "[1, inf)")
     rng = np.random.default_rng(seed)
     for _ in range(GROUND_TRUTH_ATTEMPTS):
         bu = rng.integers(0, 2, size=(d1, r)) * 2.0 - 1.0
@@ -135,16 +154,6 @@ def gen_ground_truth(d1, d2, r, kappa, seed):
     return GroundTruth(u_star=qu, sigma_star=sigma, v_star=qv, m_star=m_star,
                        kappa=float(sigma[0] / sigma[-1]),
                        mu=incoherence(qu, qv))
-
-
-def _variant_for(algorithm, lam):
-    if algorithm == "VGD":
-        return SolverVariant.vanilla()
-    if algorithm == "RGD":
-        return SolverVariant.regularized(lam)
-    if algorithm == "BGD":
-        return SolverVariant.balancing()
-    raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
 def _alg_lam_list(spec):
@@ -172,9 +181,9 @@ def run_convergence(spec, csv_path=None, compute_dist=True, record_every=1):
         mask = sample_mask(spec.d1, spec.d2, spec.p, mask_seed)
         init = spectral_init(gt, mask, spec.r)
         for alg, lam in _alg_lam_list(spec):
-            cfg = SolverConfig(variant=_variant_for(alg, lam), step=spec.step,
-                               max_iters=spec.max_iters, tol=spec.tol,
-                               record_every=record_every,
+            cfg = SolverConfig(SolverVariant(_VARIANT_TAG[alg], lam),
+                               step=spec.step, max_iters=spec.max_iters,
+                               tol=spec.tol, record_every=record_every,
                                compute_dist=compute_dist)
             res = run(gt, mask, cfg, init)
             tr = res.trace
@@ -198,9 +207,9 @@ def run_convergence(spec, csv_path=None, compute_dist=True, record_every=1):
 
 def _solver_config(spec, algorithm, lam):
     """Trial solver settings, built before any trial so bad ones raise."""
-    return SolverConfig(variant=_variant_for(algorithm, lam), step=spec.step,
-                        max_iters=spec.max_iters, tol=SUCCESS_REL_ERR,
-                        record_every=spec.max_iters)
+    return SolverConfig(variant=SolverVariant(_VARIANT_TAG[algorithm], lam),
+                        step=spec.step, max_iters=spec.max_iters,
+                        tol=SUCCESS_REL_ERR, record_every=spec.max_iters)
 
 
 def _trial(spec, cfg, algorithm, lam, r, p, seed_gt, seed_mask, trial):

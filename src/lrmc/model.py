@@ -1,6 +1,8 @@
-"""Factor-pair and ground-truth data model."""
+"""Factor-pair and ground-truth data model, and the two checks every
+numeric setting of the library goes through when it is constructed."""
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +14,31 @@ __all__ = ["FactorPair", "GroundTruth"]
 # GroundTruth compares m_star with its factors in row blocks of about this
 # many entries, so the check holds no d1 x d2 temporary.
 _CHECK_BLOCK = 1 << 16
+
+
+def _check_real(value, name="", interval="(0, inf)"):
+    """value as a float: a finite real, not a bool, in `interval`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(_must(name, "a real number", value))
+    x, (low, high) = float(value), map(float, interval[1:-1].split(","))
+    if not (math.isfinite(x) and (low < x or low == x and interval[0] == "[")
+            and (x < high or x == high and interval[-1] == "]")):
+        raise ValueError(_must(name, f"a finite number in {interval}", value))
+    return x
+
+
+def _check_int(value, name="", low=1):
+    """value as an int: an integer, not a bool, at least `low`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(_must(name, "an integer", value))
+    if value < low:
+        raise ValueError(_must(name, f"an integer >= {low}", value))
+    return int(value)
+
+
+def _must(name, rule, value):
+    # With no name the message starts at "must be": the CLI names the flag.
+    return f"{name} must be {rule}, got {value!r}".lstrip()
 
 
 @dataclass(frozen=True)

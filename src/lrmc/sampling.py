@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox
 
+from .model import _check_int, _check_real
+
 __all__ = [
     "ObservationMask",
     "LooSelector",
@@ -50,8 +52,8 @@ class ObservationMask:
 
     @classmethod
     def from_cells(cls, d1, d2, p, rows, cols, seed=None):
-        _check_rate(p)
-        _check_shape(d1, d2)
+        d1, d2 = (_check_int(d, "dimensions d1, d2") for d in (d1, d2))
+        p = _check_real(p, "sampling rate p", "(0, 1]")
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         if rows.shape != cols.shape:
@@ -68,7 +70,7 @@ class ObservationMask:
         row_ptr = np.searchsorted(rows, np.arange(d1 + 1))
         for a in (rows, cols, row_ptr):
             a.setflags(write=False)
-        return cls(d1=int(d1), d2=int(d2), p=float(p), seed=seed,
+        return cls(d1=d1, d2=d2, p=p, seed=seed,
                    rows=rows, cols=cols, row_ptr=row_ptr)
 
     @property
@@ -82,6 +84,9 @@ class LooSelector:
     index l in 1..d1+d2 (rows first, then columns)."""
 
     l: int
+
+    def __post_init__(self):
+        _check_int(self.l, "selector l")
 
     def axis(self, d1):
         return "row" if self.l <= d1 else "col"
@@ -103,8 +108,8 @@ def sample_mask(d1, d2, p, seed):
     evaluation order. The stream is drawn in row blocks, which continue one
     another, so no d1 x d2 array of draws is held.
     """
-    _check_rate(p)
-    _check_shape(d1, d2)
+    d1, d2 = (_check_int(d, "dimensions d1, d2") for d in (d1, d2))
+    p = _check_real(p, "sampling rate p", "(0, 1]")
     rng = Generator(Philox(key=np.uint64(seed)))
     step = max(1, _DRAW_BLOCK // d2)
     flat = np.concatenate([
@@ -112,16 +117,6 @@ def sample_mask(d1, d2, p, seed):
         for i in range(0, d1, step)])
     return ObservationMask.from_cells(d1, d2, p, flat // d2, flat % d2,
                                       seed=int(seed))
-
-
-def _check_rate(p):
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"sampling rate p={p} outside (0, 1]")
-
-
-def _check_shape(d1, d2):
-    if d1 < 1 or d2 < 1:
-        raise ValueError(f"dimensions ({d1}, {d2}) must be >= 1")
 
 
 def _check_dims(m, mask):

@@ -38,7 +38,7 @@ import numpy as np
 
 from .linalg import frobenius_norm
 from .metrics import _align_stack, balancing_norm
-from .model import FactorPair
+from .model import FactorPair, _check_int, _check_real
 from .sampling import LooSelector, loo_cells
 
 __all__ = [
@@ -73,15 +73,25 @@ class SolverVariant:
     lam: float | None = None
     sel: LooSelector | None = None
 
+    def __post_init__(self):
+        if self.tag not in ("vanilla", "regularized", "balancing",
+                            "leave_one_out"):
+            raise ValueError(f"unknown variant {self.tag!r}")
+        if (self.lam is None) == (self.tag == "regularized"):
+            raise ValueError("lam is for the regularized variant, and only it")
+        if self.lam is not None:
+            object.__setattr__(self, "lam", _check_real(self.lam, "lam"))
+        if isinstance(self.sel, LooSelector) != (self.tag == "leave_one_out"):
+            raise ValueError("sel, a LooSelector, is for the leave_one_out "
+                             "variant, and only it")
+
     @classmethod
     def vanilla(cls):
         return cls(tag="vanilla")
 
     @classmethod
     def regularized(cls, lam):
-        if lam <= 0:
-            raise ValueError(f"regularization parameter lam={lam} must be > 0")
-        return cls(tag="regularized", lam=float(lam))
+        return cls(tag="regularized", lam=lam)
 
     @classmethod
     def balancing(cls):
@@ -105,12 +115,10 @@ class SolverConfig:
     store_factors: bool = False
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError(f"step size {self.step} must be > 0")
-        if self.tol <= 0:
-            raise ValueError(f"tolerance {self.tol} must be > 0")
-        if self.max_iters < 1 or self.record_every < 1:
-            raise ValueError("max_iters and record_every must be >= 1")
+        _check_real(self.step, "step")
+        _check_real(self.tol, "tol")
+        _check_int(self.max_iters, "max_iters")
+        _check_int(self.record_every, "record_every")
 
 
 @dataclass
@@ -175,16 +183,13 @@ class _Problem:
     """
 
     def __init__(self, gt, mask, variant):
-        if variant.tag not in ("vanilla", "regularized", "balancing",
-                               "leave_one_out"):
-            raise ValueError(f"unknown variant {variant.tag!r}")
         div = mask.p
         if variant.tag == "leave_one_out":
             mask, div = loo_cells(mask, variant.sel)
         self.m_norm = frobenius_norm(gt.m_star)
         if self.m_norm == 0.0:
             raise ValueError("m_star is zero; relative error undefined")
-        self.lam = variant.lam if variant.tag == "regularized" else None
+        self.lam = variant.lam
         self.balanced = variant.tag in ("balancing", "leave_one_out")
         self.dense = mask.d1 * mask.d2 <= DENSE_SIZE_LIMIT
         if self.dense:

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .linalg import fix_signs, full_svd
-from .model import FactorPair
+from .model import FactorPair, _check_int
 from .sampling import loo_cells
 
 __all__ = ["TruncatedSvd", "truncated_svd", "spectral_init", "loo_init"]
@@ -52,7 +52,7 @@ def truncated_svd(m, r, seed=0):
 
 
 def _check_rank(r, d1, d2):
-    if r > min(d1, d2):
+    if _check_int(r, "rank r") > min(d1, d2):
         raise ValueError(f"rank r={r} exceeds min dimension {min(d1, d2)}")
 
 
