@@ -8,25 +8,26 @@ fallback. Exit codes: 0 success, 1 experiment/IO failure, 2 usage error.
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import diagnostics, experiments, svgplot
-from .sampling import sample_mask
-from .solvers import DIVERGENCE_REL_ERR, SolverConfig, SolverVariant, run
-from .spectral import spectral_init
+from .solvers import DIVERGENCE_REL_ERR, run
 
 __all__ = ["parse_args", "dispatch", "main"]
 
 
 def _checked(kind, field=None, grid=False):
     """A flag's converter: the text as `kind` (with `grid`, a tuple of them
-    split at commas), checked as ExperimentSpec checks `field`."""
+    split at commas), checked as ExperimentSpec checks `field`, which it
+    keeps as `.field`."""
     def convert(text):
         try:
             value = tuple(map(kind, text.split(","))) if grid else kind(text)
             return experiments._CHECKS[field](value) if field else value
         except (TypeError, ValueError) as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
+    convert.field = field
     return convert
 
 
@@ -71,12 +72,14 @@ def _add_common(sub):
     sub.add_argument("-v", "--verbose", action="store_true")
 
 
-DEFAULTS = {
-    "d1": 160, "d2": 100, "r": 5, "p": 0.2, "kappa": 1.0, "step": 0.5,
-    "lambdas": (1e-6, 1e-10), "trials": 50, "seed": 0, "tol": 1e-14,
-    "max_iters": 5000, "algs": ("VGD", "RGD", "BGD"), "jobs": 1,
-    "out": Path("."), "p_grid": (), "r_grid": (), "selectors": None,
-}
+# The dest of the flag that sets each ExperimentSpec field.
+_SPEC_DEST = {c.field: _dest(key) for key, c in _CONVERT.items()
+              if getattr(c, "field", None)}
+# ExperimentSpec's defaults, and the CLI's own: the spec has none for d1,
+# d2 and r.
+DEFAULTS = {_SPEC_DEST[f.name]: f.default
+            for f in fields(experiments.ExperimentSpec)}
+DEFAULTS.update(d1=160, d2=100, r=5, out=Path("."), selectors=None)
 
 
 def _load_config(path, parser):
@@ -134,7 +137,7 @@ def parse_args(argv):
     """Parse and validate argv into a settings namespace.
 
     Precedence: command-line flags, then config-file values, then defaults
-    (s=0.5, tol=1e-14, trials=50).
+    (`ExperimentSpec`'s defaults, with d1=160, d2=100, r=5).
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -158,16 +161,12 @@ def parse_args(argv):
     return ns
 
 
-def _spec_from(ns):
-    return experiments.ExperimentSpec(
-        d1=ns.d1, d2=ns.d2, r=ns.r, kappa=ns.kappa, p=ns.p, step=ns.step,
-        lambdas=tuple(ns.lambdas), trials=ns.trials, master_seed=ns.seed,
-        algorithms=tuple(ns.algs), max_iters=ns.max_iters, tol=ns.tol,
-        p_grid=tuple(ns.p_grid), r_grid=tuple(ns.r_grid), jobs=ns.jobs)
-
-
 def dispatch(ns):
-    """Run the parsed command. Returns the process exit status."""
+    """Run the parsed command. Returns the process exit status.
+
+    An experiment's runner returns what it wrote, its summary aggregates
+    and its failure text or None; the outputs are written either way.
+    """
     try:
         if ns.subcommand == "plot":
             svgplot.plot_csv(ns.csv_path, ns.kind,
@@ -176,9 +175,18 @@ def dispatch(ns):
             return 0
         out = Path(ns.out)
         out.mkdir(parents=True, exist_ok=True)
+        spec = experiments.ExperimentSpec(
+            **{name: getattr(ns, dest) for name, dest in _SPEC_DEST.items()})
         runner = {"converge": _run_converge, "phase": _run_phase,
                   "timing": _run_timing, "theory": _run_theory}
-        return runner[ns.subcommand](ns, _spec_from(ns), out)
+        wrote, aggregates, failure = runner[ns.subcommand](ns, spec, out)
+        experiments.write_summary(out / "summary.json", spec, aggregates)
+        if ns.verbose:
+            print(f"wrote {wrote}")
+        if failure:
+            print(f"lrmc: {failure}", file=sys.stderr)
+            return 1
+        return 0
     except (OSError, ValueError, svgplot.SchemaError) as exc:
         print(f"lrmc: error: {exc}", file=sys.stderr)
         return 1
@@ -188,56 +196,31 @@ def _run_converge(ns, spec, out):
     rows = experiments.run_convergence(spec, csv_path=out / "convergence.csv")
     diverged = sorted({r["algorithm"] for r in rows
                        if not float(r["rel_err"]) <= DIVERGENCE_REL_ERR})
-    experiments.write_summary(out / "summary.json", spec, {
-        "rows": len(rows), "diverged_algorithms": diverged})
-    if ns.verbose:
-        print(f"wrote {out / 'convergence.csv'} ({len(rows)} rows)")
-    if diverged:
-        print(f"lrmc: diverged: {', '.join(diverged)}", file=sys.stderr)
-        return 1
-    return 0
+    return (f"{out / 'convergence.csv'} ({len(rows)} rows)",
+            {"rows": len(rows), "diverged_algorithms": diverged},
+            f"diverged: {', '.join(diverged)}" if diverged else None)
 
 
 def _run_phase(ns, spec, out):
     grid = experiments.run_phase(spec, csv_path=out / "phase.csv",
                                  contour_csv_path=out / "contour.csv")
-    experiments.write_summary(out / "summary.json", spec, {
-        "mean_rate": float(grid.rates.mean())})
-    if ns.verbose:
-        print(f"wrote {out / 'phase.csv'}")
-    return _trial_errors(grid.errors)
+    return (out / "phase.csv", {"mean_rate": float(grid.rates.mean())},
+            f"{grid.errors} trials raised" if grid.errors else None)
 
 
 def _run_timing(ns, spec, out):
     rows = experiments.run_timing(spec, csv_path=out / "timing.csv")
-    experiments.write_summary(out / "summary.json", spec, {
-        "configs": len(rows)})
-    if ns.verbose:
-        print(f"wrote {out / 'timing.csv'}")
-    return _trial_errors(sum(row["n_error"] for row in rows))
-
-
-def _trial_errors(count):
-    # The outputs are written; trials that raised still fail the command.
-    if count:
-        print(f"lrmc: {count} trials raised", file=sys.stderr)
-        return 1
-    return 0
+    errors = sum(row["n_error"] for row in rows)
+    return (out / "timing.csv", {"configs": len(rows)},
+            f"{errors} trials raised" if errors else None)
 
 
 def _run_theory(ns, spec, out):
-    gt = experiments.gen_ground_truth(
-        spec.d1, spec.d2, spec.r, spec.kappa,
-        experiments.derive_seed(spec.master_seed, (0, 0), "VGD", 0))
-    mask = sample_mask(spec.d1, spec.d2, spec.p,
-                       experiments.derive_seed(spec.master_seed, (1, 0),
-                                               "VGD", 0))
-    init = spectral_init(gt, mask, spec.r)
-    stride = max(1, spec.max_iters // 200)
-    cfg = SolverConfig(variant=SolverVariant.vanilla(), step=spec.step,
-                       max_iters=spec.max_iters, tol=spec.tol,
-                       record_every=stride, compute_dist=True,
-                       store_factors=True)
+    gt, mask, init = experiments._instance(spec, 0)
+    cfg = experiments._solver_config(
+        spec, "VGD", None, tol=spec.tol,
+        record_every=max(1, spec.max_iters // 200), compute_dist=True,
+        store_factors=True)
     main = run(gt, mask, cfg, init)
     if ns.selectors is None:
         selectors = diagnostics.default_selectors(spec.d1, spec.d2)
@@ -254,19 +237,14 @@ def _run_theory(ns, spec, out):
     drift = diagnostics.balancing_drift_check(
         main.trace.balancing_norm, gt.kappa, spec.step, gt.sigma_max,
         main.trace.dist_to_truth[0])
-    experiments.write_summary(out / "summary.json", spec, {
+    return (out / "hypothesis.csv", {
         "status": main.status,
         "fraction_satisfied": report.fraction_satisfied,
         "contraction_ok": contraction.all_satisfied,
         "contraction_worst_ratio": contraction.worst_ratio,
         "balancing_initial_ok": drift.initial_ok,
-        "balancing_drift_ok": drift.drift_ok})
-    if ns.verbose:
-        print(f"wrote {out / 'hypothesis.csv'}")
-    if main.status == "diverged":
-        print("lrmc: diverged: main", file=sys.stderr)
-        return 1
-    return 0
+        "balancing_drift_ok": drift.drift_ok},
+        "diverged: main" if main.status == "diverged" else None)
 
 
 def main(argv=None):

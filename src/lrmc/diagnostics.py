@@ -11,12 +11,12 @@ calls, so the checker's working set is one slice, however many records the
 run holds.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .experiments import _write_csv
 from .linalg import frobenius_norm, spectral_norm
 from .metrics import _align_stack, _procrustes
 from .model import _check_int
@@ -178,13 +178,11 @@ class HypothesisReport:
         return [r for r in self.rows if r.clause == clause]
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "clause", "lhs", "rhs", "slack",
-                             "satisfied"])
-            for r in self.rows:
-                writer.writerow([r.k, r.clause, repr(r.lhs), repr(r.rhs),
-                                 repr(r.slack), int(r.satisfied)])
+        header = ["k", "clause", "lhs", "rhs", "slack", "satisfied"]
+        _write_csv(path, header, (
+            dict(zip(header, (r.k, r.clause, repr(r.lhs), repr(r.rhs),
+                              repr(r.slack), int(r.satisfied))))
+            for r in self.rows))
 
 
 def _bounds(gt, s, p):

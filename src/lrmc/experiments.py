@@ -175,26 +175,19 @@ def run_convergence(spec, csv_path=None, compute_dist=True, record_every=1):
     """
     rows = []
     for trial in range(spec.trials):
-        gt_seed = derive_seed(spec.master_seed, (0, trial), "VGD", 0)
-        mask_seed = derive_seed(spec.master_seed, (1, trial), "VGD", 0)
-        gt = gen_ground_truth(spec.d1, spec.d2, spec.r, spec.kappa, gt_seed)
-        mask = sample_mask(spec.d1, spec.d2, spec.p, mask_seed)
-        init = spectral_init(gt, mask, spec.r)
+        gt, mask, init = _instance(spec, trial)
         for alg, lam in _alg_lam_list(spec):
-            cfg = SolverConfig(SolverVariant(_VARIANT_TAG[alg], lam),
-                               step=spec.step, max_iters=spec.max_iters,
-                               tol=spec.tol, record_every=record_every,
-                               compute_dist=compute_dist)
-            res = run(gt, mask, cfg, init)
-            tr = res.trace
-            dists = tr.dist_to_truth if compute_dist else [""] * len(tr.k)
+            cfg = _solver_config(spec, alg, lam, tol=spec.tol,
+                                 record_every=record_every,
+                                 compute_dist=compute_dist)
+            tr = run(gt, mask, cfg, init).trace
             for i, k in enumerate(tr.k):
                 rows.append({
                     "algorithm": alg,
                     "lambda": "" if lam is None else repr(lam),
                     "k": k,
                     "rel_err": repr(tr.relative_error[i]),
-                    "dist": repr(dists[i]) if compute_dist else "",
+                    "dist": repr(tr.dist_to_truth[i]) if compute_dist else "",
                     "balancing": repr(tr.balancing_norm[i]),
                     "seconds": repr(tr.seconds[i]),
                 })
@@ -205,11 +198,22 @@ def run_convergence(spec, csv_path=None, compute_dist=True, record_every=1):
     return rows
 
 
-def _solver_config(spec, algorithm, lam):
-    """Trial solver settings, built before any trial so bad ones raise."""
-    return SolverConfig(variant=SolverVariant(_VARIANT_TAG[algorithm], lam),
-                        step=spec.step, max_iters=spec.max_iters,
-                        tol=SUCCESS_REL_ERR, record_every=spec.max_iters)
+def _instance(spec, trial):
+    """Trial `trial`'s target, mask and spectral start in run_convergence."""
+    gt = gen_ground_truth(spec.d1, spec.d2, spec.r, spec.kappa,
+                          derive_seed(spec.master_seed, (0, trial), "VGD", 0))
+    mask = sample_mask(spec.d1, spec.d2, spec.p,
+                       derive_seed(spec.master_seed, (1, trial), "VGD", 0))
+    return gt, mask, spectral_init(gt, mask, spec.r)
+
+
+def _solver_config(spec, algorithm, lam, **settings):
+    """Trial solver settings, built before any trial so bad ones raise: by
+    default a phase or timing trial's, with `settings` overriding them."""
+    settings = {"tol": SUCCESS_REL_ERR, "record_every": spec.max_iters,
+                **settings}
+    return SolverConfig(SolverVariant(_VARIANT_TAG[algorithm], lam),
+                        step=spec.step, max_iters=spec.max_iters, **settings)
 
 
 def _trial(spec, cfg, algorithm, lam, r, p, seed_gt, seed_mask, trial):

@@ -40,6 +40,7 @@ __all__ = [
 RANK_DEFICIENCY_TOL = 1e-10
 NEWTON_MAX_STEPS = 100
 STATIONARY_STEP = 1e-10
+ORTHONORMAL_TOL = 1e-8  # largest Gram deviation incoherence accepts
 
 
 class AlignmentDegenerateError(Exception):
@@ -315,7 +316,7 @@ def balancing_norm(f):
     return frobenius_norm(f.x.T @ f.x - f.y.T @ f.y)
 
 
-def incoherence(u, v, orthonormal_tol=1e-8):
+def incoherence(u, v):
     """Smallest mu with max row norms of u, v below sqrt(mu r / d)."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -324,7 +325,7 @@ def incoherence(u, v, orthonormal_tol=1e-8):
         raise ValueError("u and v must have the same column count")
     for name, m in (("u", u), ("v", v)):
         gram_err = np.max(np.abs(m.T @ m - np.eye(r)))
-        if gram_err > orthonormal_tol:
+        if gram_err > ORTHONORMAL_TOL:
             raise ValueError(f"{name} columns not orthonormal "
                              f"(gram deviation {gram_err:.3e})")
     mu_u = u.shape[0] / r * np.max(np.sum(u * u, axis=1))

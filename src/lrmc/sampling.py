@@ -50,6 +50,11 @@ class ObservationMask:
     cols: np.ndarray
     row_ptr: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        for d in (self.d1, self.d2):
+            _check_int(d, "dimensions d1, d2")
+        _check_real(self.p, "sampling rate p", "(0, 1]")
+
     @classmethod
     def from_cells(cls, d1, d2, p, rows, cols, seed=None):
         d1, d2 = (_check_int(d, "dimensions d1, d2") for d in (d1, d2))
@@ -119,16 +124,17 @@ def sample_mask(d1, d2, p, seed):
                                       seed=int(seed))
 
 
-def _check_dims(m, mask):
-    if m.shape != (mask.d1, mask.d2):
-        raise ValueError(f"matrix shape {m.shape} does not match mask "
-                         f"({mask.d1}, {mask.d2})")
+def _check_dims(shape, mask, what="matrix shape"):
+    """The one check that a matrix, target or factor pair fits the mask."""
+    if shape != (mask.d1, mask.d2):
+        raise ValueError(f"mask ({mask.d1}, {mask.d2}) does not fit {what} "
+                         f"{shape}")
 
 
 def project(m, mask):
     """Keep entries at observed cells, zero elsewhere."""
     m = np.asarray(m, dtype=np.float64)
-    _check_dims(m, mask)
+    _check_dims(m.shape, mask)
     out = np.zeros_like(m)
     out[mask.rows, mask.cols] = m[mask.rows, mask.cols]
     return out
@@ -143,9 +149,8 @@ def loo_project(m, mask, sel, p):
     the library applies through `loo_cells`; this is its dense form.
     """
     m = np.asarray(m, dtype=np.float64)
-    _check_dims(m, mask)
-    sel.validate(mask.d1, mask.d2)
     out = project(m, mask)
+    sel.validate(mask.d1, mask.d2)
     t = sel.index(mask.d1)
     if sel.axis(mask.d1) == "row":
         out[t, :] = p * m[t, :]

@@ -39,7 +39,7 @@ import numpy as np
 from .linalg import frobenius_norm
 from .metrics import _align_stack, balancing_norm
 from .model import FactorPair, _check_int, _check_real
-from .sampling import LooSelector, loo_cells
+from .sampling import LooSelector, _check_dims, loo_cells
 
 __all__ = [
     "SolverVariant",
@@ -283,12 +283,8 @@ def step(f, g, s):
 
 
 def _check_shapes(f, gt, mask):
-    if f.x.shape[0] != gt.d1 or f.y.shape[0] != gt.d2:
-        raise ValueError(
-            f"factor heights ({f.x.shape[0]}, {f.y.shape[0]}) do not match "
-            f"target dims ({gt.d1}, {gt.d2})")
-    if (mask.d1, mask.d2) != (gt.d1, gt.d2):
-        raise ValueError("mask dims do not match ground truth")
+    _check_dims((gt.d1, gt.d2), mask, "target shape")
+    _check_dims((f.x.shape[0], f.y.shape[0]), mask, "factor heights")
 
 
 def run(gt, mask, config, init):

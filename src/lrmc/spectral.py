@@ -18,7 +18,7 @@ from numpy.random import Generator, Philox
 
 from .linalg import fix_signs, full_svd
 from .model import FactorPair, _check_int
-from .sampling import loo_cells
+from .sampling import _check_dims, loo_cells
 
 __all__ = ["TruncatedSvd", "truncated_svd", "spectral_init", "loo_init"]
 
@@ -27,6 +27,7 @@ __all__ = ["TruncatedSvd", "truncated_svd", "spectral_init", "loo_init"]
 FULL_SVD_DIM_LIMIT = 512
 OVERSAMPLING = 10
 POWER_ITERS = 4
+START_SEED = 0  # seeds the starts' randomized SVD, so each start is fixed
 
 
 @dataclass(frozen=True)
@@ -76,34 +77,33 @@ def _randomized_svd(m, r, seed):
     return TruncatedSvd(u[:, :r].copy(), s[:r].copy(), v[:, :r].copy())
 
 
-def _start(gt, cells, div, r, seed):
+def _start(gt, cells, div, r):
     """X0 = U0 S0^1/2, Y0 = V0 S0^1/2 from the top-r SVD of the d1 x d2
     matrix holding M*[cells] / div on the cells and 0 elsewhere, dense up
     to FULL_SVD_DIM_LIMIT and CSR above it (see the module docstring)."""
-    if (cells.d1, cells.d2) != (gt.d1, gt.d2):
-        raise ValueError("mask dims do not match ground truth")
+    _check_dims((gt.d1, gt.d2), cells, "target shape")
     vals = gt.m_star[cells.rows, cells.cols] / div
     if max(cells.d1, cells.d2) <= FULL_SVD_DIM_LIMIT:
         m0 = np.zeros((cells.d1, cells.d2))
         m0[cells.rows, cells.cols] = vals
-        t = truncated_svd(m0, r, seed=seed)
+        t = truncated_svd(m0, r)
     else:
         from scipy.sparse import csr_array  # see the module docstring
         m0 = csr_array((vals, cells.cols, cells.row_ptr),
                        shape=(cells.d1, cells.d2))
-        t = _randomized_svd(m0, r, seed)
+        t = _randomized_svd(m0, r, START_SEED)
     # Tiny negative values from roundoff are clamped before the square root.
     root = np.sqrt(np.maximum(t.sigma0, 0.0))
     return FactorPair(t.u0 * root, t.v0 * root)
 
 
-def spectral_init(gt, mask, r, seed=0):
+def spectral_init(gt, mask, r):
     """X0 = U0 S0^1/2, Y0 = V0 S0^1/2 from the top-r SVD of (1/p) P_Omega(M*)."""
-    return _start(gt, mask, mask.p, r, seed)
+    return _start(gt, mask, mask.p, r)
 
 
-def loo_init(gt, mask, r, sel, seed=0):
+def loo_init(gt, mask, r, sel):
     """Spectral initialization of the leave-one-out problem for selector
     sel, from (1/p) P_{Omega minus line}(M*) + P_{line}(M*): the observed
     matrix with the selected row (column) fully revealed."""
-    return _start(gt, *loo_cells(mask, sel), r, seed)
+    return _start(gt, *loo_cells(mask, sel), r)

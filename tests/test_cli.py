@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 
 from lrmc import experiments
 from lrmc.cli import main, parse_args
+from lrmc.experiments import ExperimentSpec
 
 SMALL = ["--d1", "30", "--d2", "24", "--r", "2", "--p", "0.6",
          "--max-iters", "600", "--trials", "1", "--tol", "1e-10"]
@@ -18,6 +20,19 @@ def test_defaults():
     assert ns.p == 0.2 and ns.step == 0.5
     assert ns.lambdas == (1e-6, 1e-10)
     assert ns.trials == 50 and ns.tol == 1e-14
+
+
+@pytest.mark.parametrize("command", ["converge", "phase", "timing", "theory"])
+def test_defaults_are_experiment_spec_defaults(command):
+    # Every field with a default in ExperimentSpec is a CLI setting too;
+    # the namespace names two of them by their flags.
+    ns = parse_args([command])
+    shared = [f for f in dataclasses.fields(ExperimentSpec)
+              if f.default is not dataclasses.MISSING]
+    assert len(shared) == 12
+    dest = {"master_seed": "seed", "algorithms": "algs"}
+    for f in shared:
+        assert getattr(ns, dest.get(f.name, f.name)) == f.default, f.name
 
 
 def test_flag_overrides():
@@ -175,6 +190,23 @@ def test_trials_that_raise_fail_the_command(command, tmp_path, monkeypatch,
         assert main(args) == 1
     assert "lrmc: 1 trials raised" in capsys.readouterr().err
     assert (tmp_path / f"{command}.csv").exists()
+
+
+@pytest.mark.parametrize("command, name", [
+    ("converge", "convergence.csv"), ("phase", "phase.csv"),
+    ("timing", "timing.csv"), ("theory", "hypothesis.csv")])
+def test_verbose_prints_what_was_written(command, name, tmp_path, capsys):
+    args = [command, *SMALL, "--algs", "VGD", "-v", "--out", str(tmp_path)]
+    if command == "phase":
+        args += ["--p-grid", "0.6", "--r-grid", "2"]
+    assert main(args) == 0
+    expected = f"wrote {tmp_path / name}"
+    if command == "converge":
+        with open(tmp_path / name) as fh:
+            expected += f" ({len(list(csv.DictReader(fh)))} rows)"
+    assert capsys.readouterr().out == expected + "\n"
+    main([a for a in args if a != "-v"])
+    assert capsys.readouterr().out == ""
 
 
 def test_timing_end_to_end(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
@@ -85,6 +87,21 @@ def test_from_cells_rejects_bad_rate(p):
 def test_from_cells_rejects_bad_dims(d1, d2):
     with pytest.raises(ValueError, match="dimensions"):
         ObservationMask.from_cells(d1, d2, 0.5, [], [])
+
+
+@pytest.mark.parametrize("d1, d2, p, error", [
+    (0, 3, 0.5, ValueError), (3, -1, 0.5, ValueError),
+    (3.0, 3, 0.5, TypeError), (True, 3, 0.5, TypeError),
+    (3, 3, float("nan"), ValueError), (3, 3, 0.0, ValueError),
+    (3, 3, 1.5, ValueError), (3, 3, float("inf"), ValueError),
+    (3, 3, "0.5", TypeError)])
+def test_direct_construction_rejects_bad_dims_and_rate(d1, d2, p, error):
+    good = ObservationMask.from_cells(3, 3, 0.5, [0], [1])
+    with pytest.raises(error, match="dimensions|sampling rate"):
+        ObservationMask(d1=d1, d2=d2, p=p, seed=None, rows=good.rows,
+                        cols=good.cols, row_ptr=good.row_ptr)
+    with pytest.raises(error, match="dimensions|sampling rate"):
+        dataclasses.replace(good, d1=d1, d2=d2, p=p)
 
 
 def test_load_mask_rejects_bad_dims(tmp_path):

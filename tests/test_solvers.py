@@ -9,10 +9,11 @@ from lrmc.experiments import derive_seed, gen_ground_truth
 from lrmc.metrics import (AlignmentDegenerateError, balancing_norm, dist,
                           relative_error)
 from lrmc.model import FactorPair
-from lrmc.sampling import LooSelector, ObservationMask, sample_mask
+from lrmc.sampling import (LooSelector, ObservationMask, loo_project,
+                           project, sample_mask)
 from lrmc.solvers import (SolverConfig, SolverVariant, gradient, objective,
                           run, step)
-from lrmc.spectral import spectral_init
+from lrmc.spectral import loo_init, spectral_init
 
 VARIANTS = [
     SolverVariant.vanilla(),
@@ -310,6 +311,30 @@ def test_step_is_affine():
     g = FactorPair(np.full((3, 2), 2.0), np.full((4, 2), -1.0))
     out = step(f, g, 0.5)
     assert (out.x == 0.0).all() and (out.y == 1.5).all()
+
+
+def test_every_entry_point_makes_one_shape_check():
+    gt = gen_ground_truth(10, 8, 2, 1.0, seed=0)
+    mask = sample_mask(10, 9, 0.5, seed=0)
+    f = FactorPair(np.ones((10, 2)), np.ones((8, 2)))
+    cfg = SolverConfig(SolverVariant.vanilla(), step=0.5)
+    for call in (lambda: spectral_init(gt, mask, 2),
+                 lambda: loo_init(gt, mask, 2, LooSelector(1)),
+                 lambda: run(gt, mask, cfg, f),
+                 lambda: objective(f, gt, mask, SolverVariant.vanilla()),
+                 lambda: gradient(f, gt, mask, SolverVariant.vanilla())):
+        with pytest.raises(ValueError, match=r"^mask \(10, 9\) does not fit "
+                                             r"target shape \(10, 8\)$"):
+            call()
+    for call in (lambda: project(gt.m_star, mask),
+                 lambda: loo_project(gt.m_star, mask, LooSelector(1), 0.5)):
+        with pytest.raises(ValueError, match=r"^mask \(10, 9\) does not fit "
+                                             r"matrix shape \(10, 8\)$"):
+            call()
+    short = FactorPair(np.ones((10, 2)), np.ones((7, 2)))
+    with pytest.raises(ValueError, match=r"^mask \(10, 8\) does not fit "
+                                         r"factor heights \(10, 7\)$"):
+        run(gt, sample_mask(10, 8, 0.5, seed=0), cfg, short)
 
 
 def test_variant_and_config_validation():
