@@ -12,7 +12,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import diagnostics, experiments, svgplot
-from .solvers import DIVERGENCE_REL_ERR, run
+from .solvers import run
 
 __all__ = ["parse_args", "dispatch", "main"]
 
@@ -195,7 +195,7 @@ def dispatch(ns):
 def _run_converge(ns, spec, out):
     rows = experiments.run_convergence(spec, csv_path=out / "convergence.csv")
     diverged = sorted({r["algorithm"] for r in rows
-                       if not float(r["rel_err"]) <= DIVERGENCE_REL_ERR})
+                       if r["status"] == "diverged"})
     return (f"{out / 'convergence.csv'} ({len(rows)} rows)",
             {"rows": len(rows), "diverged_algorithms": diverged},
             f"diverged: {', '.join(diverged)}" if diverged else None)
@@ -224,11 +224,10 @@ def _run_theory(ns, spec, out):
     main = run(gt, mask, cfg, init)
     if ns.selectors is None:
         selectors = diagnostics.default_selectors(spec.d1, spec.d2)
-    elif tuple(ns.selectors) == (0,):
+    elif ns.selectors == (0,):
         selectors = ()
     else:
-        selectors = tuple(diagnostics.LooSelector(int(l))
-                          for l in ns.selectors)
+        selectors = tuple(diagnostics.LooSelector(l) for l in ns.selectors)
     loo = diagnostics.run_loo_family(gt, mask, cfg, selectors)
     report = diagnostics.hypothesis_check(main, loo, gt, spec.step, spec.p)
     report.to_csv(out / "hypothesis.csv")

@@ -171,7 +171,8 @@ def run_convergence(spec, csv_path=None, compute_dist=True, record_every=1):
     spectral initialization so the curves are directly comparable.
 
     Returns the CSV rows (header `algorithm,lambda,k,rel_err,dist,balancing,
-    seconds`) and writes them when csv_path is given.
+    seconds,status`; status is how the row's run ended) and writes them
+    when csv_path is given.
     """
     rows = []
     for trial in range(spec.trials):
@@ -180,7 +181,8 @@ def run_convergence(spec, csv_path=None, compute_dist=True, record_every=1):
             cfg = _solver_config(spec, alg, lam, tol=spec.tol,
                                  record_every=record_every,
                                  compute_dist=compute_dist)
-            tr = run(gt, mask, cfg, init).trace
+            res = run(gt, mask, cfg, init)
+            tr = res.trace
             for i, k in enumerate(tr.k):
                 rows.append({
                     "algorithm": alg,
@@ -190,11 +192,12 @@ def run_convergence(spec, csv_path=None, compute_dist=True, record_every=1):
                     "dist": repr(tr.dist_to_truth[i]) if compute_dist else "",
                     "balancing": repr(tr.balancing_norm[i]),
                     "seconds": repr(tr.seconds[i]),
+                    "status": res.status,
                 })
     if csv_path is not None:
         _write_csv(csv_path,
                    ["algorithm", "lambda", "k", "rel_err", "dist",
-                    "balancing", "seconds"], rows)
+                    "balancing", "seconds", "status"], rows)
     return rows
 
 

@@ -58,10 +58,11 @@ DIVERGENCE_REL_ERR = 1e6
 # measured at one BLAS thread lies between 6e4 and 2e5 entries.
 DENSE_SIZE_LIMIT = 1 << 17
 # With compute_dist, recorded iterates are aligned this many at a time, in
-# one stacked call (metrics._align_stack). On the 160x100 r=5 headline VGD
-# run (1 BLAS thread, 3 runs) chunks of 16, 32 and 64 align its 787
-# iterates in 82-94, 79-80 and 72-75 ms, against 0.43-0.55 s in single
-# calls; the chunk buffers stay small.
+# one stacked call (metrics._align_stack). On the 160x100 r=5 headline runs
+# (1 BLAS thread, medians of 30 interleaved passes, two runs) chunks of 32,
+# 64 and 128 align BGD's 787 iterates in 102-108, 91-94 and 85-89 ms, and
+# VGD's in 117-121 ms at each size. 32 stays because it also sets the size
+# of diagnostics.hypothesis_check's slices, which bounds its memory.
 DIST_CHUNK = 32
 
 
@@ -125,9 +126,9 @@ class SolverConfig:
 class IterateTrace:
     """Per recorded iteration metrics.
 
-    `seconds` is the solver's cumulative wall clock, with the time spent
-    aligning for `dist_to_truth` left out, so it means the same with and
-    without compute_dist. `dist_to_truth` is computed in chunks of
+    `seconds` is the iterations' own time: the time since the solve started
+    less the time spent recording earlier iterates, under any compute_dist,
+    store_factors or record_every. `dist_to_truth` is computed in chunks of
     DIST_CHUNK recorded iterates, and once more for the rest at the end.
     """
 
@@ -318,14 +319,14 @@ def run(gt, mask, config, init):
         buf_x = np.empty((DIST_CHUNK, gt.d1, init.r))
         buf_y = np.empty((DIST_CHUNK, gt.d2, init.r))
     held = 0          # recorded iterates waiting in the buffers
-    aligning = 0.0    # seconds spent on dist, left out of trace.seconds
-    recording = 0.0   # seconds spent in record
+    recording = 0.0   # seconds spent in record, left out of trace.seconds
     t0 = time.perf_counter()
 
     def record(k, rel, last):
         # The terminal iterate (last) also aligns what the buffers hold.
-        nonlocal held, aligning, recording
+        nonlocal held, recording
         t_in = time.perf_counter()
+        trace.seconds.append(t_in - t0 - recording)
         trace.k.append(k)
         trace.relative_error.append(rel)
         bal = balancing_norm(problem)
@@ -334,7 +335,6 @@ def run(gt, mask, config, init):
         if factors is not None:
             factors.append(FactorPair(x.copy(), y.copy()))
         if config.compute_dist:
-            t = time.perf_counter()
             buf_x[held], buf_y[held] = x, y
             held += 1
             if held == DIST_CHUNK or last:
@@ -343,10 +343,7 @@ def run(gt, mask, config, init):
                                             f_star)
                 trace.dist_to_truth.extend(res.tolist())
                 held = 0
-            aligning += time.perf_counter() - t
-        t = time.perf_counter()
-        trace.seconds.append(t - t0 - aligning)
-        recording += t - t_in
+        recording += time.perf_counter() - t_in
 
     # A diverging iterate overflows; the non-finite relative error that
     # results is the divergence signal, reported by the status, so numpy's

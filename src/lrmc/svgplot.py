@@ -61,10 +61,13 @@ def _lines_svg(csv_path):
         if row["lambda"]:
             label += f" (lam={float(row['lambda']):g})"
         rel = float(row["rel_err"])
-        series.setdefault(label, []).append((int(row["k"]),
-                                             max(rel, 1e-300)))
-    kmax = max(k for pts in series.values() for k, _ in pts)
+        pts = series.setdefault(label, [])
+        if math.isfinite(rel):  # a diverged run's line ends before inf/nan
+            pts.append((int(row["k"]), max(rel, 1e-300)))
     logs = [math.log10(v) for pts in series.values() for _, v in pts]
+    if not logs:
+        raise SchemaError(f"{csv_path}: no finite rel_err")
+    kmax = max(k for pts in series.values() for k, _ in pts)
     lo, hi = min(logs), max(max(logs), min(logs) + 1e-9)
     x0, x1 = MARGIN, WIDTH - 20
     y0, y1 = HEIGHT - MARGIN, 40

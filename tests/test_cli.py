@@ -144,6 +144,20 @@ def test_converge_divergence_raises_no_runtime_warning(tmp_path):
     assert rows(tmp_path / "strict") == rows(tmp_path / "plain")
 
 
+def test_converge_takes_divergence_from_the_run_status(tmp_path, capsys):
+    # RGD's huge penalty makes it diverge beside a converging VGD.
+    code = main(["converge", *SMALL, "--algs", "VGD,RGD", "--lambda",
+                 "1e200", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == "lrmc: diverged: RGD\n"
+    with open(tmp_path / "convergence.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {(r["algorithm"], r["status"]) for r in rows} == {
+        ("VGD", "converged"), ("RGD", "diverged")}
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["aggregates"]["diverged_algorithms"] == ["RGD"]
+
+
 def test_svd_failure_is_reported_as_error(monkeypatch, capsys, tmp_path):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -155,9 +169,10 @@ def test_svd_failure_is_reported_as_error(monkeypatch, capsys, tmp_path):
 
 def test_converge_flags_nan_rows_as_diverged(tmp_path, monkeypatch):
     def nan_rows(spec, csv_path=None):
-        return [{"algorithm": "VGD", "rel_err": "0.5"},
-                {"algorithm": "VGD", "rel_err": "nan"},
-                {"algorithm": "BGD", "rel_err": "1e-15"}]
+        return [{"algorithm": "VGD", "rel_err": "0.5", "status": "diverged"},
+                {"algorithm": "VGD", "rel_err": "nan", "status": "diverged"},
+                {"algorithm": "BGD", "rel_err": "1e-15",
+                 "status": "converged"}]
 
     monkeypatch.setattr(experiments, "run_convergence", nan_rows)
     code = main(["converge", *SMALL, "--out", str(tmp_path)])
@@ -274,6 +289,33 @@ def test_plot_lines_and_heatmap(tmp_path):
                  "--kind", "heatmap", "--contour", str(out / "contour.csv"),
                  "--out", str(tmp_path)]) == 0
     assert (tmp_path / "phase.svg").read_text().startswith("<svg")
+
+
+def test_plot_lines_ends_a_diverged_series_at_its_last_finite_point(
+        tmp_path):
+    # A finite series beside a diverged one keeps the finite log scale.
+    path = tmp_path / "convergence.csv"
+    path.write_text("algorithm,lambda,k,rel_err\n"
+                    "VGD,,0,1.0\nVGD,,1,0.01\nVGD,,2,0.0001\n"
+                    "BGD,,0,1.0\nBGD,,1,inf\n")
+    assert main(["plot", "--csv", str(path), "--kind", "lines",
+                 "--out", str(tmp_path)]) == 0
+    svg = (tmp_path / "convergence.svg").read_text()
+    assert 'points="60.00,40.00"' in svg  # BGD
+    assert 'points="60.00,40.00 340.00,210.00 620.00,380.00"' in svg  # VGD
+
+    # Both runs diverge at k = 1 (rel_err inf).
+    out = tmp_path / "div"
+    assert main(["converge", "--d1", "30", "--d2", "20", "--r", "2",
+                 "--p", "0.5", "--s", "1e200", "--trials", "1",
+                 "--algs", "VGD,BGD", "--out", str(out)]) == 1
+    assert main(["plot", "--csv", str(out / "convergence.csv"),
+                 "--kind", "lines", "--out", str(out)]) == 0
+    assert "nan" not in (out / "convergence.svg").read_text()
+
+    path.write_text("algorithm,lambda,k,rel_err\nVGD,,0,nan\n")
+    assert main(["plot", "--csv", str(path), "--kind", "lines",
+                 "--out", str(tmp_path)]) == 1
 
 
 def test_plot_schema_error(tmp_path):

@@ -107,9 +107,25 @@ def test_run_convergence_rows_and_csv(tmp_path):
     with open(path) as fh:
         reader = csv.DictReader(fh)
         assert reader.fieldnames == ["algorithm", "lambda", "k", "rel_err",
-                                     "dist", "balancing", "seconds"]
+                                     "dist", "balancing", "seconds", "status"]
         file_rows = list(reader)
     assert len(file_rows) == len(rows)
+
+
+def test_run_convergence_writes_each_runs_status_on_its_rows(tmp_path):
+    # RGD's huge penalty throws its first step out to overflow.
+    spec = ExperimentSpec(**{**SMALL, "algorithms": ("RGD", "VGD"),
+                             "lambdas": (1e200,)})
+    path = tmp_path / "conv.csv"
+    rows = run_convergence(spec, csv_path=path, compute_dist=False)
+    status = {alg: [r["status"] for r in rows if r["algorithm"] == alg]
+              for alg in ("RGD", "VGD")}
+    assert status["RGD"] == ["diverged"] * 2
+    assert len(status["VGD"]) > 2
+    assert set(status["VGD"]) == {"converged"}
+    with open(path) as fh:
+        assert [r["status"] for r in csv.DictReader(fh)] == [
+            r["status"] for r in rows]
 
 
 def test_run_convergence_deterministic_modulo_timing():

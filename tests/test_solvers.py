@@ -484,6 +484,25 @@ def test_run_seconds_exclude_alignment(instance, monkeypatch):
     assert tr.seconds == sorted(tr.seconds) and tr.seconds[-1] < 0.1
 
 
+def test_run_seconds_exclude_recording(instance, monkeypatch):
+    # Recording made slow outside the alignment: seconds stay the loop's
+    # own time.
+    gt, mask = instance
+    cfg = SolverConfig(variant=SolverVariant.vanilla(), step=0.5,
+                       max_iters=20, tol=1e-30)
+    init = spectral_init(gt, mask, gt.r)
+
+    def slow(f):
+        time.sleep(0.02)
+        return balancing_norm(f)
+
+    monkeypatch.setattr(solvers, "balancing_norm", slow)
+    res = run(gt, mask, cfg, init)
+    tr = res.trace
+    assert len(tr.seconds) == 21 and res.seconds_record >= 0.4
+    assert tr.seconds == sorted(tr.seconds) and tr.seconds[-1] < 0.1
+
+
 def test_run_splits_its_time_between_loop_and_record(instance, monkeypatch):
     # Alignment made slow: it lands in seconds_record, not seconds_loop.
     gt, mask = instance
