@@ -11,17 +11,21 @@ the observed cells with w_c = p. Leave-one-out uses the observed cells
 together with its whole line, with w_c = 1 on the line and p elsewhere
 (sampling.loo_cells), which is the operator (1/p) P_{Omega minus line} +
 P_{line}. The ridge and imbalance penalties are added to that data term.
+It is read from the scaled residual S = R / w on the cells alone, as
+(1/2) sum_c w_c S_c^2: (1/2) p <S, S>, plus (1/2) (1 - p) ||S_line||^2
+for leave-one-out's line.
 
 The residual has two storage layouts, picked once per problem from
 d1 * d2 alone. Up to DENSE_SIZE_LIMIT entries it is a dense d1 x d2
-matrix, and the one matrix X Y.T - M* per iterate gives the relative
-error, the objective and the gradient. Above the limit it lives only on
-the cells, in a CSR matrix, and the relative error comes from numpy's QR
-of the factors; there, forming X Y.T would cost more than it saves.
-scipy.sparse, which holds the CSR matrix, is imported with the first CSR
-problem, or with the first spectral start with max(d1, d2) > 512
-(spectral.FULL_SVD_DIM_LIMIT), which also takes a CSR matrix; a process
-that makes neither does not load scipy.
+matrix, held in one buffer per problem: X Y.T - M* is formed there, its
+norm gives the relative error, and it is then scaled in place into S,
+which gives the objective and the gradient. Above the limit it lives
+only on the cells, in a CSR matrix, and the relative error comes from
+numpy's QR of the factors; there, forming X Y.T would cost more than it
+saves. scipy.sparse, which holds the CSR matrix, is imported with the
+first CSR problem, or with the first spectral start with
+max(d1, d2) > 512 (spectral.FULL_SVD_DIM_LIMIT), which also takes a CSR
+matrix; a process that makes neither does not load scipy.
 
 `run` holds the iterate in one (d1+d2) x r buffer [X; Y] and the gradient
 in a second one, and steps in place, so an iteration allocates no factor
@@ -165,28 +169,32 @@ class _Problem:
     the module docstring). One evaluation of an iterate, `load(x, y)`,
     computes the residual X Y.T - M* and its relative error, and writes the
     residual, divided by the divisors on the cells and zero elsewhere, into
-    a matrix S; objective and gradient both read it, the objective as
-    (1/2) <residual, S> and the data gradient as (S Y, S.T X). `run` loads
-    views of its [X; Y] buffer and has `gradient(gx, gy)` write into views
-    of its gradient buffer, so no FactorPair is built per iterate; the
-    loaded x and y are the attributes a FactorPair has, so balancing_norm
-    reads the problem as the loaded pair. With a
-    fully observed mask the leave-one-out cells are the mask's and every
-    divisor is 1, so it is the balancing problem bitwise.
+    a matrix S; objective and gradient read S alone, the objective as
+    (1/2) p <S, S> plus leave-one-out's line term (module docstring) and
+    the data gradient as (S Y, S.T X). `run` loads views of its [X; Y]
+    buffer and has `gradient(gx, gy)` write into views of its gradient
+    buffer, so no FactorPair is built per iterate; the loaded x and y are
+    the attributes a FactorPair has, so balancing_norm reads the problem as
+    the loaded pair. With a fully observed mask the leave-one-out cells are
+    the mask's and every divisor is 1, so it is the balancing problem
+    bitwise.
 
-    In the dense layout (module docstring) the residual D goes into a
-    preallocated d1 x d2 buffer and S = D * W, W holding 1/divisor on the
-    cells and 0 elsewhere. In the CSR layout the residual is written in
-    place into the data of a CSR matrix S, so the gradient costs
-    O(|cells| r). There the relative error takes O((d1+d2) r^2): with
-    A = [X, -U* S*] and B = [Y, V*], X Y.T - M* = A B.T, and
-    ||A B.T||_F = ||B R_A.T||_F for the triangular factor R_A of a QR of A.
+    In the dense layout (module docstring) the residual D goes into S, the
+    one preallocated d1 x d2 buffer, and once its norm is taken it is
+    multiplied in place by W, which holds 1/divisor on the cells and 0
+    elsewhere. In the CSR layout the residual is written in place into the
+    data of a CSR matrix S, so the gradient costs O(|cells| r). There the
+    relative error takes O((d1+d2) r^2): with A = [X, -U* S*] and
+    B = [Y, V*], X Y.T - M* = A B.T, and ||A B.T||_F = ||B R_A.T||_F for
+    the triangular factor R_A of a QR of A.
     """
 
     def __init__(self, gt, mask, variant):
-        div = mask.p
+        div, self.line = mask.p, None
         if variant.tag == "leave_one_out":
             mask, div = loo_cells(mask, variant.sel)
+            self.line = np.flatnonzero(div != mask.p)  # in cell order
+        self.p = mask.p
         self.m_norm = frobenius_norm(gt.m_star)
         if self.m_norm == 0.0:
             raise ValueError("m_star is zero; relative error undefined")
@@ -197,8 +205,11 @@ class _Problem:
             self.m_star = np.ascontiguousarray(gt.m_star, dtype=np.float64)
             self.w = np.zeros((mask.d1, mask.d2))
             self.w[mask.rows, mask.cols] = 1.0 / div
-            self.resid = np.empty((mask.d1, mask.d2))
-            self.s = self.s_vals = np.empty((mask.d1, mask.d2))
+            self.s = np.empty((mask.d1, mask.d2))
+            self.s_vals = self.s.reshape(-1)  # a view of s
+            if self.line is not None:  # cell order -> s_vals order
+                self.line = (mask.rows[self.line] * mask.d2
+                             + mask.cols[self.line])
         else:
             from scipy.sparse import csr_array  # see the module docstring
             self.div = div
@@ -219,14 +230,15 @@ class _Problem:
         """
         self.x, self.y = x, y
         if self.dense:
-            np.matmul(x, y.T, out=self.resid)
-            self.resid -= self.m_star
-            np.multiply(self.resid, self.w, out=self.s)
-            return frobenius_norm(self.resid) / self.m_norm
-        self.resid = np.einsum("ij,ij->i", x.take(self.rows, 0),
-                               y.take(self.cols, 0))
-        self.resid -= self.m_obs
-        np.divide(self.resid, self.div, out=self.s_vals)
+            np.matmul(x, y.T, out=self.s)
+            self.s -= self.m_star
+            rel = frobenius_norm(self.s) / self.m_norm
+            self.s *= self.w
+            return rel
+        resid = np.einsum("ij,ij->i", x.take(self.rows, 0),
+                          y.take(self.cols, 0))
+        resid -= self.m_obs
+        np.divide(resid, self.div, out=self.s_vals)
         r_a = np.linalg.qr(np.hstack((x, self.a_star)), mode="r")
         b = np.hstack((y, self.b_star))
         return frobenius_norm(b @ r_a.T) / self.m_norm
@@ -235,7 +247,10 @@ class _Problem:
         """The objective at the loaded iterate; `bal`, when given, is its
         balancing_norm, so a caller that has it is not made to redo it."""
         x, y = self.x, self.y
-        val = 0.5 * float(np.vdot(self.resid, self.s_vals))
+        val = 0.5 * self.p * float(np.vdot(self.s_vals, self.s_vals))
+        if self.line is not None:
+            s_line = self.s_vals[self.line]
+            val += 0.5 * (1.0 - self.p) * float(np.vdot(s_line, s_line))
         if self.lam is not None:
             val += 0.5 * self.lam * float(np.vdot(x, x) + np.vdot(y, y))
         if self.balanced:
@@ -255,9 +270,12 @@ class _Problem:
             gx += self.lam * x
             gy += self.lam * y
         if self.balanced:
-            b = x.T @ x - y.T @ y
-            gx += 0.5 * x @ b
-            gy -= 0.5 * y @ b
+            # Scaling b by 0.5 is exact: the terms equal 0.5 * x @ b's.
+            b = x.T @ x
+            b -= y.T @ y
+            b *= 0.5
+            gx += x @ b
+            gy -= y @ b
 
 
 def objective(f, gt, mask, variant):

@@ -55,19 +55,25 @@ def _svg_header(title):
 
 def _lines_svg(csv_path):
     rows = _read_rows(csv_path, ["algorithm", "lambda", "k", "rel_err"])
-    series = {}
+    # label -> one list of points per run; a run starts wherever k does
+    # not increase, since the CSV has no trial column.
+    series, last_k = {}, {}
     for row in rows:
         label = row["algorithm"]
         if row["lambda"]:
             label += f" (lam={float(row['lambda']):g})"
-        rel = float(row["rel_err"])
-        pts = series.setdefault(label, [])
+        k, rel = int(row["k"]), float(row["rel_err"])
+        runs = series.setdefault(label, [])
+        if not runs or k <= last_k[label]:
+            runs.append([])
+        last_k[label] = k
         if math.isfinite(rel):  # a diverged run's line ends before inf/nan
-            pts.append((int(row["k"]), max(rel, 1e-300)))
-    logs = [math.log10(v) for pts in series.values() for _, v in pts]
-    if not logs:
+            runs[-1].append((k, max(rel, 1e-300)))
+    pts = [pt for runs in series.values() for run in runs for pt in run]
+    if not pts:
         raise SchemaError(f"{csv_path}: no finite rel_err")
-    kmax = max(k for pts in series.values() for k, _ in pts)
+    logs = [math.log10(v) for _, v in pts]
+    kmax = max(k for k, _ in pts)
     lo, hi = min(logs), max(max(logs), min(logs) + 1e-9)
     x0, x1 = MARGIN, WIDTH - 20
     y0, y1 = HEIGHT - MARGIN, 40
@@ -83,11 +89,12 @@ def _lines_svg(csv_path):
                  'stroke="black"/>\n'
                  f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" '
                  'stroke="black"/>\n')
-    for i, (label, pts) in enumerate(sorted(series.items())):
+    for i, (label, runs) in enumerate(sorted(series.items())):
         color = PALETTE[i % len(PALETTE)]
-        coords = " ".join(f"{sx(k):.2f},{sy(v):.2f}" for k, v in pts)
-        parts.append(f'<polyline points="{coords}" fill="none" '
-                     f'stroke="{color}" stroke-width="1.5"/>\n')
+        for run in filter(None, runs):
+            coords = " ".join(f"{sx(k):.2f},{sy(v):.2f}" for k, v in run)
+            parts.append(f'<polyline points="{coords}" fill="none" '
+                         f'stroke="{color}" stroke-width="1.5"/>\n')
         ly = 50 + 16 * i
         parts.append(f'<line x1="{x1 - 150}" y1="{ly}" x2="{x1 - 130}" '
                      f'y2="{ly}" stroke="{color}" stroke-width="2"/>\n'

@@ -318,6 +318,35 @@ def test_plot_lines_ends_a_diverged_series_at_its_last_finite_point(
                  "--out", str(tmp_path)]) == 1
 
 
+def test_plot_lines_draws_each_run_as_its_own_polyline(tmp_path):
+    # The CSV has no trial column, so a run starts wherever k does not
+    # increase; joined, the line ran from one run's end back to k = 0.
+    path = tmp_path / "convergence.csv"
+    path.write_text("algorithm,lambda,k,rel_err\n"
+                    "VGD,,0,1.0\nVGD,,2,0.0001\n"
+                    "VGD,,0,1.0\nVGD,,1,0.01\nVGD,,2,0.0001\n")
+    assert main(["plot", "--csv", str(path), "--kind", "lines",
+                 "--out", str(tmp_path)]) == 0
+    svg = (tmp_path / "convergence.svg").read_text()
+    assert svg.count("<polyline") == 2
+    assert 'points="60.00,40.00 620.00,380.00"' in svg
+    assert 'points="60.00,40.00 340.00,210.00 620.00,380.00"' in svg
+
+    out = tmp_path / "two"
+    assert main(["converge", "--d1", "30", "--d2", "20", "--r", "2",
+                 "--p", "0.5", "--trials", "2", "--algs", "VGD",
+                 "--out", str(out)]) == 0
+    assert main(["plot", "--csv", str(out / "convergence.csv"),
+                 "--kind", "lines", "--out", str(out)]) == 0
+    svg = (out / "convergence.svg").read_text()
+    assert svg.count("<polyline") == 2
+    for line in svg.splitlines():
+        if line.startswith("<polyline"):
+            xs = [float(pt.split(",")[0])
+                  for pt in line.split('"')[1].split()]
+            assert xs == sorted(xs)
+
+
 def test_plot_schema_error(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("foo,bar\n1,2\n")

@@ -9,6 +9,9 @@ transposed target is F-ordered and reading it must not copy it.
 
 hypothesis_check works through a run's records in slices of DIST_CHUNK,
 so its transient memory does not grow with the number of records.
+
+Up to DENSE_SIZE_LIMIT a bound problem keeps two d1 x d2 float64
+matrices: the weights W and the one working matrix S.
 """
 
 import tracemalloc
@@ -117,3 +120,26 @@ def test_hypothesis_check_transient_is_one_slice():
     one_slice = DIST_CHUNK * (d1 + d2) * r * 8
     assert transient[1] - transient[5] <= one_slice, (
         f"{(transient[1] - transient[5]) / one_slice:.1f} slices")
+
+
+@pytest.mark.parametrize("variant", [SolverVariant.vanilla(),
+                                     SolverVariant.leave_one_out(7)],
+                         ids=["vanilla", "leave_one_out"])
+def test_dense_problem_keeps_two_dense_matrices(variant):
+    # theory's 300x200, r=4, p=0.25 instance binds the dense layout. The
+    # residual is formed in S and scaled there, so a loaded problem keeps
+    # W and S; a separate residual buffer made it three.
+    d1, d2, r = 300, 200, 4
+    assert d1 * d2 <= DENSE_SIZE_LIMIT
+    gt = gen_ground_truth(d1, d2, r, 2.0, seed=3)
+    mask = sample_mask(d1, d2, 0.25, seed=4)
+    f0 = spectral_init(gt, mask, r)
+
+    def loaded():
+        problem = _Problem(gt, mask, variant)
+        problem.load(f0.x, f0.y)
+        return problem
+
+    _, kept = traced(loaded)
+    matrix = d1 * d2 * 8
+    assert kept < 2.5 * matrix, f"{kept / matrix:.2f} d1 x d2 matrices"

@@ -6,11 +6,12 @@ import pytest
 
 from lrmc import solvers
 from lrmc.experiments import derive_seed, gen_ground_truth
+from lrmc.linalg import frobenius_norm
 from lrmc.metrics import (AlignmentDegenerateError, balancing_norm, dist,
                           relative_error)
 from lrmc.model import FactorPair
-from lrmc.sampling import (LooSelector, ObservationMask, loo_project,
-                           project, sample_mask)
+from lrmc.sampling import (LooSelector, ObservationMask, loo_cells,
+                           loo_project, project, sample_mask)
 from lrmc.solvers import (SolverConfig, SolverVariant, gradient, objective,
                           run, step)
 from lrmc.spectral import loo_init, spectral_init
@@ -224,6 +225,36 @@ def test_run_relative_error_matches_dense_at_converged_iterates(layout):
              if rel < 1e-10]
     assert len(pairs) > 10
     assert max(abs(a - b) for a, b in pairs) <= 1e-16
+
+
+@pytest.mark.parametrize(
+    "variant", [SolverVariant.vanilla(), SolverVariant.balancing(),
+                SolverVariant.leave_one_out(2),
+                SolverVariant.leave_one_out(33)], ids=_variant_id)
+def test_dense_load_matches_two_buffer_reference(variant):
+    # The dense layout forms the residual in S and scales it there in
+    # place. The relative error and S equal, bit for bit, those of a
+    # residual held in a buffer of its own and then multiplied by W.
+    gt = gen_ground_truth(30, 20, 3, 2.0, seed=21)
+    mask = sample_mask(30, 20, 0.3, seed=22)
+    f = _random_pair(np.random.default_rng(23), 30, 20, 3)
+    problem = solvers._Problem(gt, mask, variant)
+    assert problem.dense
+    rel = problem.load(f.x, f.y)
+
+    cells, div = mask, mask.p
+    if variant.sel is not None:
+        cells, div = loo_cells(mask, variant.sel)
+    w = np.zeros((30, 20))
+    w[cells.rows, cells.cols] = 1.0 / div
+    d = f.x @ f.y.T - gt.m_star
+    s_ref = d * w
+    assert rel == frobenius_norm(d) / frobenius_norm(gt.m_star)
+    assert problem.s.tobytes() == s_ref.tobytes()
+    # The data term, read from S alone, is (1/2) <D, S> up to rounding.
+    data = 0.5 * float(np.vdot(d, s_ref))
+    bal = 0.125 * balancing_norm(f) ** 2 if problem.balanced else 0.0
+    assert problem.objective() == pytest.approx(data + bal, rel=1e-13)
 
 
 @pytest.mark.parametrize(

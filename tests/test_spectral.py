@@ -35,6 +35,58 @@ def test_truncated_svd_matches_full_svd_values():
     assert recon_err < 1e-8
 
 
+def _with_spectrum(rng, d1, d2, sigma):
+    """A d1 x d2 matrix with singular values sigma (min(d1, d2) of them)."""
+    u, _ = np.linalg.qr(rng.standard_normal((d1, sigma.size)))
+    v, _ = np.linalg.qr(rng.standard_normal((d2, sigma.size)))
+    return u @ (sigma[:, None] * v.T)
+
+
+def _orthonormality_gap(a):
+    return np.abs(a.T @ a - np.eye(a.shape[1])).max()
+
+
+@pytest.mark.parametrize("shape", [(60, 40), (40, 60)])
+@pytest.mark.parametrize("r", [1, 5, 40])
+@pytest.mark.parametrize("cond", [1e2, 1e4, 1e6])
+def test_dense_truncated_svd_matches_full_svd(shape, r, cond):
+    # Below FULL_SVD_DIM_LIMIT: the Gram eigenvectors and one
+    # Rayleigh-Ritz step give full_svd's top r triplets, sign rule
+    # included, on tall and wide matrices up to r = min(d1, d2).
+    m = _with_spectrum(np.random.default_rng(r), *shape,
+                       np.logspace(0.0, -np.log10(cond), 40))
+    t = truncated_svd(m, r)
+    u, s, v = full_svd(m)
+    assert t.u0.shape == (shape[0], r) and t.v0.shape == (shape[1], r)
+    assert np.max(np.abs(t.sigma0 - s[:r]) / s[:r]) <= 1e-10
+    assert _orthonormality_gap(t.u0) <= 1e-13
+    assert _orthonormality_gap(t.v0) <= 1e-13
+    top = (u[:, :r] * s[:r]) @ v[:, :r].T
+    assert np.linalg.norm(t.u0 * t.sigma0 @ t.v0.T - top) <= 1e-12
+    # The leading vectors, well separated, carry full_svd's signs.
+    assert np.abs(t.u0[:, 0] - u[:, 0]).max() <= 1e-12
+    assert np.abs(t.v0[:, 0] - v[:, 0]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(50, 30), (30, 50)])
+def test_dense_truncated_svd_of_a_rank_deficient_matrix(shape):
+    # Ten exact zero singular values: the factors past the rank are an
+    # arbitrary orthonormal completion, but finite and orthonormal.
+    sigma = np.concatenate((np.logspace(0.0, -3.0, 20), np.zeros(10)))
+    m = _with_spectrum(np.random.default_rng(7), *shape, sigma)
+    for r in (25, 30):
+        t = truncated_svd(m, r)
+        assert np.isfinite(t.u0).all() and np.isfinite(t.v0).all()
+        assert _orthonormality_gap(t.u0) <= 1e-13
+        assert _orthonormality_gap(t.v0) <= 1e-13
+        assert np.max(np.abs(t.sigma0[:20] - sigma[:20]) / sigma[:20]) <= (
+            1e-10)
+        assert np.all(np.abs(t.sigma0[20:]) <= 1e-14)
+    t = truncated_svd(np.zeros(shape), 30)
+    assert (t.sigma0 == 0.0).all()
+    assert _orthonormality_gap(t.u0) <= 1e-13
+
+
 def test_randomized_path_matches_full_svd():
     # above the dense cutoff the randomized route kicks in; use a matrix
     # with a clear spectral gap so subspace iteration is sharp
