@@ -156,6 +156,11 @@ def parse_args(argv):
         if value is not None:
             merged[key] = value
     ns = argparse.Namespace(**merged)
+    if args.subcommand == "theory" and ns.selectors not in (None, (0,)):
+        n = ns.d1 + ns.d2  # known only once every setting is merged
+        if not all(1 <= l <= n for l in ns.selectors):
+            parser.error(f"--selectors: must be integers in 1..{n}, or 0 "
+                         f"alone, got {','.join(map(str, ns.selectors))}")
     ns.subcommand = args.subcommand
     ns.verbose = bool(getattr(args, "verbose", False))
     return ns
@@ -222,12 +227,9 @@ def _run_theory(ns, spec, out):
         record_every=max(1, spec.max_iters // 200), compute_dist=True,
         store_factors=True)
     main = run(gt, mask, cfg, init)
-    if ns.selectors is None:
-        selectors = diagnostics.default_selectors(spec.d1, spec.d2)
-    elif ns.selectors == (0,):
-        selectors = ()
-    else:
-        selectors = tuple(diagnostics.LooSelector(l) for l in ns.selectors)
+    selectors = (diagnostics.default_selectors(spec.d1, spec.d2)
+                 if ns.selectors is None else  # 0 alone selects none
+                 tuple(diagnostics.LooSelector(l) for l in ns.selectors if l))
     loo = diagnostics.run_loo_family(gt, mask, cfg, selectors)
     report = diagnostics.hypothesis_check(main, loo, gt, spec.step, spec.p)
     report.to_csv(out / "hypothesis.csv")

@@ -361,13 +361,15 @@ def run_timing(spec, csv_path=None):
     """
     configs = {key: _solver_config(spec, *key) for key in _alg_lam_list(spec)}
     results = {key: [] for key in configs}
+    order = list(configs)
     for trial in range(spec.trials):
         seed_gt = derive_seed(spec.master_seed, (4, trial), "VGD", 0)
         seed_mask = derive_seed(spec.master_seed, (5, trial), "VGD", 0)
-        for (alg, lam), cfg in configs.items():
-            results[(alg, lam)].append(_trial(
-                spec, cfg, alg, lam, spec.r, spec.p, seed_gt, seed_mask,
-                trial))
+        for key in order:
+            results[key].append(_trial(spec, configs[key], *key, spec.r,
+                                       spec.p, seed_gt, seed_mask, trial))
+        # Each config goes first in turn, so drift in speed hits all alike.
+        order.append(order.pop(0))
     _count_errors([t for trials in results.values() for t in trials])
     rows = []
     for (alg, lam), trials in results.items():

@@ -9,6 +9,9 @@ An observation operator is a weighted cell set: a mask together with the
 divisors of its cells, the operator being R -> R[cells] / div. The plain
 problem's divisor is the scalar p, giving (1/p) P_Omega; `loo_cells` builds
 the leave-one-out one, (1/p) P_{Omega minus line} + P_{line}.
+
+`_observed_matrix` alone builds the matrix of a weighted cell set: dense up
+to DENSE_SIZE_LIMIT entries, CSR above, importing scipy.sparse with the first.
 """
 
 import warnings
@@ -32,6 +35,9 @@ __all__ = [
 
 # sample_mask draws its stream in row blocks of about this many entries.
 _DRAW_BLOCK = 1 << 16
+# Up to this many entries d1 * d2 an observed matrix is dense (read at call
+# time); the solve's crossover at one BLAS thread lies between 6e4 and 2e5.
+DENSE_SIZE_LIMIT = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -129,6 +135,24 @@ def _check_dims(shape, mask, what="matrix shape"):
     if shape != (mask.d1, mask.d2):
         raise ValueError(f"mask ({mask.d1}, {mask.d2}) does not fit {what} "
                          f"{shape}")
+
+
+def _fits_dense(d1, d2):
+    """The one rule: a d1 x d2 observed matrix is held dense."""
+    return d1 * d2 <= DENSE_SIZE_LIMIT
+
+
+def _observed_matrix(cells, values):
+    """The d1 x d2 matrix holding `values` on the cells, in cell order (one
+    value for all, or one per cell), and 0 elsewhere: a dense array when
+    it fits dense, a scipy.sparse CSR array otherwise."""
+    if _fits_dense(cells.d1, cells.d2):
+        m = np.zeros((cells.d1, cells.d2))
+        m[cells.rows, cells.cols] = values
+        return m
+    from scipy.sparse import csr_array  # see the module docstring
+    return csr_array((np.full(cells.n_cells, values, dtype=np.float64),
+                      cells.cols, cells.row_ptr), shape=(cells.d1, cells.d2))
 
 
 def project(m, mask):

@@ -15,17 +15,14 @@ It is read from the scaled residual S = R / w on the cells alone, as
 (1/2) sum_c w_c S_c^2: (1/2) p <S, S>, plus (1/2) (1 - p) ||S_line||^2
 for leave-one-out's line.
 
-The residual has two storage layouts, picked once per problem from
-d1 * d2 alone. Up to DENSE_SIZE_LIMIT entries it is a dense d1 x d2
-matrix, held in one buffer per problem: X Y.T - M* is formed there, its
-norm gives the relative error, and it is then scaled in place into S,
-which gives the objective and the gradient. Above the limit it lives
-only on the cells, in a CSR matrix, and the relative error comes from
-numpy's QR of the factors; there, forming X Y.T would cost more than it
-saves. scipy.sparse, which holds the CSR matrix, is imported with the
-first CSR problem, or with the first spectral start with
-max(d1, d2) > 512 (spectral.FULL_SVD_DIM_LIMIT), which also takes a CSR
-matrix; a process that makes neither does not load scipy.
+The residual has two storage layouts, those of the observed matrix
+(sampling._observed_matrix), picked once per problem from d1 * d2 alone.
+Up to sampling.DENSE_SIZE_LIMIT entries it is a dense d1 x d2 matrix,
+held in one buffer per problem: X Y.T - M* is formed there, its norm
+gives the relative error, and it is then scaled in place into S, which
+gives the objective and the gradient. Above the limit it lives only on
+the cells, in a CSR matrix, and the relative error comes from numpy's QR
+of the factors; there, forming X Y.T would cost more than it saves.
 
 `run` holds the iterate in one (d1+d2) x r buffer [X; Y] and the gradient
 in a second one, and steps in place, so an iteration allocates no factor
@@ -43,7 +40,7 @@ import numpy as np
 from .linalg import frobenius_norm
 from .metrics import _align_stack, balancing_norm
 from .model import FactorPair, _check_int, _check_real
-from .sampling import LooSelector, _check_dims, loo_cells
+from .sampling import LooSelector, _check_dims, _observed_matrix, loo_cells
 
 __all__ = [
     "SolverVariant",
@@ -57,10 +54,6 @@ __all__ = [
 ]
 
 DIVERGENCE_REL_ERR = 1e6
-# Up to this many entries d1 * d2 the residual is held as a dense matrix;
-# above it, on the cells only (see the module docstring). The crossover
-# measured at one BLAS thread lies between 6e4 and 2e5 entries.
-DENSE_SIZE_LIMIT = 1 << 17
 # With compute_dist, recorded iterates are aligned this many at a time, in
 # one stacked call (metrics._align_stack). On the 160x100 r=5 headline runs
 # (1 BLAS thread, medians of 30 interleaved passes, two runs) chunks of 32,
@@ -200,23 +193,22 @@ class _Problem:
             raise ValueError("m_star is zero; relative error undefined")
         self.lam = variant.lam
         self.balanced = variant.tag in ("balancing", "leave_one_out")
-        self.dense = mask.d1 * mask.d2 <= DENSE_SIZE_LIMIT
+        # W, or the CSR matrix S whose data load overwrites.
+        observed = _observed_matrix(mask, 1.0 / div)
+        self.dense = isinstance(observed, np.ndarray)
         if self.dense:
             self.m_star = np.ascontiguousarray(gt.m_star, dtype=np.float64)
-            self.w = np.zeros((mask.d1, mask.d2))
-            self.w[mask.rows, mask.cols] = 1.0 / div
+            self.w = observed
             self.s = np.empty((mask.d1, mask.d2))
             self.s_vals = self.s.reshape(-1)  # a view of s
             if self.line is not None:  # cell order -> s_vals order
                 self.line = (mask.rows[self.line] * mask.d2
                              + mask.cols[self.line])
         else:
-            from scipy.sparse import csr_array  # see the module docstring
             self.div = div
             self.rows, self.cols = mask.rows, mask.cols
             self.m_obs = gt.m_star[mask.rows, mask.cols]
-            self.s = csr_array((np.zeros(mask.n_cells), mask.cols,
-                                mask.row_ptr), shape=(mask.d1, mask.d2))
+            self.s = observed
             self.s_vals = self.s.data
             self.a_star = -(gt.u_star * gt.sigma_star)
             self.b_star = gt.v_star

@@ -1,17 +1,12 @@
 """Truncated SVD and spectral initialization of the gradient iteration.
 
 Both starts, the plain one and the leave-one-out one, take the top-r SVD of
-the observed matrix M*[cells] / div of their weighted cell set (see
-`sampling`), zero off the cells. Up to FULL_SVD_DIM_LIMIT that matrix is
-scattered into a dense d1 x d2 array, and only its top r triplets are
-computed: the top r eigenvectors of its smaller Gram matrix (numpy's
-eigh) span a subspace, and one Rayleigh-Ritz step, a QR and the SVD of an
-r-row matrix, gives the triplets from it. Above it, randomized
-subspace iteration (Halko, Martinsson and Tropp, 2011) touches the matrix
-only through products with it and its transpose, so the cells go in as a
-CSR matrix and the start costs O(|cells| r) per product and holds no
-d1 x d2 array. scipy.sparse, which holds the CSR matrix, is imported with
-the first such start.
+the observed matrix M*[cells] / div of their weighted cell set, zero off
+the cells, built as the solve builds its own (sampling._observed_matrix).
+Of a dense one only the top r triplets are computed (_gram_svd). A CSR
+one goes to randomized subspace iteration (Halko, Martinsson and Tropp,
+2011), which touches it only through products with it and its transpose,
+so the start costs O(|cells| r) per product and holds no d1 x d2 array.
 """
 
 from dataclasses import dataclass
@@ -21,16 +16,10 @@ from numpy.random import Generator, Philox
 
 from .linalg import fix_signs, full_svd
 from .model import FactorPair, _check_int
-from .sampling import _check_dims, loo_cells
+from .sampling import _check_dims, _fits_dense, _observed_matrix, loo_cells
 
 __all__ = ["TruncatedSvd", "truncated_svd", "spectral_init", "loo_init"]
 
-# Above this dimension the truncated SVD uses randomized subspace
-# iteration. Up to it, it uses the top r eigenvectors of the dense Gram
-# matrix and one Rayleigh-Ritz step (_gram_svd): 3.4-3.7 ms at 300x200,
-# r=4, where the full SVD this name recalls took 7.3-7.9 ms, and 0.97
-# against 1.7 ms at 160x100 (2-vCPU Xeon, 1 BLAS thread).
-FULL_SVD_DIM_LIMIT = 512
 OVERSAMPLING = 10
 POWER_ITERS = 4
 START_SEED = 0  # seeds the starts' randomized SVD, so each start is fixed
@@ -44,17 +33,17 @@ class TruncatedSvd:
 
 
 def truncated_svd(m, r, seed=0):
-    """Top-r singular triplets of m.
+    """Top-r singular triplets of m, a dense array or a scipy.sparse matrix.
 
-    Up to max(d1, d2) = FULL_SVD_DIM_LIMIT: the top r eigenvectors of the
-    smaller Gram matrix, refined by one Rayleigh-Ritz step (_gram_svd).
-    Above it: seeded randomized subspace iteration.
+    A dense m up to sampling.DENSE_SIZE_LIMIT entries: the top r
+    eigenvectors of the smaller Gram matrix and one Rayleigh-Ritz step
+    (_gram_svd). Otherwise: seeded randomized subspace iteration.
     """
-    m = np.asarray(m, dtype=np.float64)
-    d1, d2 = m.shape
-    if max(d1, d2) > FULL_SVD_DIM_LIMIT:
+    sparse = hasattr(m, "tocsr")  # scipy.sparse, left unimported here
+    m = m if sparse else np.asarray(m, dtype=np.float64)
+    _check_rank(r, *m.shape)
+    if sparse or not _fits_dense(*m.shape):
         return _randomized_svd(m, r, seed)
-    _check_rank(r, d1, d2)
     return _gram_svd(m, r)
 
 
@@ -81,11 +70,9 @@ def _randomized_svd(m, r, seed):
     """Top-r triplets of m, a dense array or a scipy.sparse matrix, by
     seeded randomized subspace iteration. m enters only through products;
     for a sparse m, q.T @ m is scipy's (m.T @ q).T."""
-    d1, d2 = m.shape
-    _check_rank(r, d1, d2)
-    k = min(r + OVERSAMPLING, min(d1, d2))
+    k = min(r + OVERSAMPLING, *m.shape)
     rng = Generator(Philox(key=np.uint64(seed)))
-    q = rng.standard_normal((d2, k))
+    q = rng.standard_normal((m.shape[1], k))
     q, _ = np.linalg.qr(m @ q)
     for _ in range(POWER_ITERS):
         q, _ = np.linalg.qr(m.T @ q)
@@ -108,19 +95,10 @@ def _rayleigh_ritz(m, q, r, transposed=False):
 
 def _start(gt, cells, div, r):
     """X0 = U0 S0^1/2, Y0 = V0 S0^1/2 from the top-r SVD of the d1 x d2
-    matrix holding M*[cells] / div on the cells and 0 elsewhere, dense up
-    to FULL_SVD_DIM_LIMIT and CSR above it (see the module docstring)."""
+    matrix holding M*[cells] / div on the cells and 0 elsewhere."""
     _check_dims((gt.d1, gt.d2), cells, "target shape")
-    vals = gt.m_star[cells.rows, cells.cols] / div
-    if max(cells.d1, cells.d2) <= FULL_SVD_DIM_LIMIT:
-        m0 = np.zeros((cells.d1, cells.d2))
-        m0[cells.rows, cells.cols] = vals
-        t = truncated_svd(m0, r)
-    else:
-        from scipy.sparse import csr_array  # see the module docstring
-        m0 = csr_array((vals, cells.cols, cells.row_ptr),
-                       shape=(cells.d1, cells.d2))
-        t = _randomized_svd(m0, r, START_SEED)
+    observed = _observed_matrix(cells, gt.m_star[cells.rows, cells.cols] / div)
+    t = truncated_svd(observed, r, START_SEED)
     # Tiny negative values from roundoff are clamped before the square root.
     root = np.sqrt(np.maximum(t.sigma0, 0.0))
     return FactorPair(t.u0 * root, t.v0 * root)

@@ -255,6 +255,26 @@ def test_theory_without_selectors(tmp_path):
     assert clauses == {"a", "d", "e"}
 
 
+@pytest.mark.parametrize("text", ["-3", "0,3", "999", "1,51"])
+def test_theory_selectors_are_checked_before_any_solve(text, tmp_path,
+                                                       capsys):
+    # At 30x20 a selector is in 1..50, or 0 stands alone. Anything else,
+    # from a flag or a config file, is a usage error before the output
+    # directory is made.
+    out = tmp_path / "out"
+    argv = ["theory", "--d1", "30", "--d2", "20", "--out", str(out)]
+    cfg = tmp_path / "sel.cfg"
+    cfg.write_text(f"selectors={text}\n")
+    for extra in ([f"--selectors={text}"], ["--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + extra)
+        assert exc.value.code == 2
+        assert ("--selectors: must be integers in 1..50, or 0 alone, got "
+                f"{text}") in capsys.readouterr().err
+        assert not out.exists()
+    assert parse_args(argv + ["--selectors", "1,50"]).selectors == (1, 50)
+
+
 def test_theory_divergence_exits_1_without_runtime_warning(tmp_path,
                                                           capsys):
     argv = ["theory", "--d1", "30", "--d2", "20", "--r", "2", "--p", "0.5",

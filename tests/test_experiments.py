@@ -305,6 +305,35 @@ def test_run_timing_rows(tmp_path):
             assert float(r["mean_s"]) > 0.0
 
 
+def test_run_timing_rotates_which_config_goes_first(monkeypatch):
+    # Each trial starts one config later than the trial before, so drift in
+    # the machine's speed hits every config alike. Each config still runs
+    # every trial's instance once, and the rows keep the configs' order.
+    calls = []
+
+    def fake(spec, cfg, alg, lam, r, p, seed_gt, seed_mask, trial):
+        calls.append((alg, lam, trial, seed_gt, seed_mask))
+        return experiments.TrialResult(
+            algorithm=alg, lam=lam, trial=trial, seed=seed_gt,
+            status="converged", iterations=1, terminal_rel_err=0.0,
+            seconds_to_target=float(trial + 1))
+
+    monkeypatch.setattr(experiments, "_trial", fake)
+    spec = ExperimentSpec(d1=30, d2=24, r=2, lambdas=(1e-6, 1e-10),
+                          trials=5, master_seed=3)
+    rows = run_timing(spec)
+    keys = [("VGD", None), ("RGD", 1e-6), ("RGD", 1e-10), ("BGD", None)]
+    assert [c[:2] for c in calls] == [keys[(t + i) % 4] for t in range(5)
+                                      for i in range(4)]
+    for alg, lam, t, seed_gt, seed_mask in calls:
+        assert (seed_gt, seed_mask) == (derive_seed(3, (4, t), "VGD", 0),
+                                        derive_seed(3, (5, t), "VGD", 0))
+    assert [r["algorithm"] for r in rows] == [
+        "VGD", "RGD(lam=1e-06)", "RGD(lam=1e-10)", "BGD"]
+    assert {(r["n_ok"], r["n_fail"], r["n_error"], r["mean_s"])
+            for r in rows} == {(5, 0, 0, "3.0")}
+
+
 def test_run_timing_empty_cell():
     # iteration cap too small to ever reach the target
     spec = ExperimentSpec(d1=30, d2=24, r=3, p=0.5, step=0.5, trials=2,

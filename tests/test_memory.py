@@ -1,11 +1,12 @@
 """Traced peak memory of the large-problem path and of the theory checker.
 
-Above DENSE_SIZE_LIMIT and FULL_SVD_DIM_LIMIT the library works on the
-observed cells, so no call may hold a transient d1 x d2 float64 matrix on
-top of what its caller already holds: the target's check, the mask draw,
-both spectral starts, the problem's set-up and the solve. The target
-m_star is given both C-ordered and F-ordered, since a relabelled or
-transposed target is F-ordered and reading it must not copy it.
+Above DENSE_SIZE_LIMIT entries d1 * d2 the library works on the observed
+cells, so no call may hold a transient d1 x d2 float64 matrix on top of
+what its caller already holds: the target's check, the mask draw, both
+spectral starts, the problem's set-up and the solve. The target m_star is
+given both C-ordered and F-ordered, since a relabelled or transposed
+target is F-ordered and reading it must not copy it. The starts follow
+that one rule at any shape, a square one with no side above 512 included.
 
 hypothesis_check works through a run's records in slices of DIST_CHUNK,
 so its transient memory does not grow with the number of records.
@@ -24,10 +25,9 @@ from lrmc.diagnostics import (default_selectors, hypothesis_check,
 from lrmc.experiments import gen_ground_truth
 from lrmc.metrics import relative_error
 from lrmc.model import GroundTruth
-from lrmc.sampling import LooSelector, sample_mask
-from lrmc.solvers import (DENSE_SIZE_LIMIT, DIST_CHUNK, SolverConfig,
-                          SolverVariant, _Problem, run)
-from lrmc.spectral import FULL_SVD_DIM_LIMIT, loo_init, spectral_init
+from lrmc.sampling import DENSE_SIZE_LIMIT, LooSelector, sample_mask
+from lrmc.solvers import DIST_CHUNK, SolverConfig, SolverVariant, _Problem, run
+from lrmc.spectral import loo_init, spectral_init
 
 D1, D2, R, P = 1200, 1100, 3, 0.03
 MATRIX = D1 * D2 * 8  # bytes of one d1 x d2 float64 matrix
@@ -57,7 +57,7 @@ def instance(request):
     # Imported up front: the first CSR matrix imports scipy.sparse, whose
     # own allocations are not the call's.
     import scipy.sparse  # noqa: F401
-    assert D1 * D2 > DENSE_SIZE_LIMIT and max(D1, D2) > FULL_SVD_DIM_LIMIT
+    assert D1 * D2 > DENSE_SIZE_LIMIT
     gt = gen_ground_truth(D1, D2, R, 2.0, seed=5)
     m = np.asfortranarray(gt.m_star) if request.param == "F" else gt.m_star
     assert m.flags[request.param + "_CONTIGUOUS"]
@@ -89,6 +89,20 @@ CALLS = {
 def test_large_path_holds_no_dense_temporary(instance, call):
     peak = traced_peak(lambda: CALLS[call](*instance))
     assert peak < MATRIX, f"{call}: {peak / MATRIX:.2f} d1 x d2 matrices"
+
+
+@pytest.mark.parametrize("sel", [None, 4, 409], ids=["spectral_init",
+                                                   "loo_init row",
+                                                   "loo_init col"])
+def test_square_starts_above_the_limit_hold_no_dense_temporary(sel):
+    import scipy.sparse  # noqa: F401, see the instance fixture
+    d = 400
+    assert d * d > DENSE_SIZE_LIMIT
+    gt = gen_ground_truth(d, d, R, 2.0, seed=5)
+    mask = sample_mask(d, d, 0.05, seed=6)
+    peak = traced_peak(lambda: spectral_init(gt, mask, R) if sel is None
+                       else loo_init(gt, mask, R, LooSelector(sel)))
+    assert peak < d * d * 8, f"{peak / (d * d * 8):.2f} d1 x d2 matrices"
 
 
 def test_relative_error_holds_one_dense_temporary(instance):

@@ -42,7 +42,7 @@ def test_import_loads_no_scipy_beyond_sparse():
 
 
 def test_import_loads_no_scipy():
-    # scipy.sparse is imported with the first CSR problem, so neither the
+    # scipy.sparse is imported with the first CSR matrix, so neither the
     # library nor the CLI loads scipy at start-up.
     for statement in ("import lrmc", "import lrmc.cli"):
         assert not _scipy_modules(statement), statement
@@ -74,9 +74,27 @@ with open(OUT, "w") as fh:
 
 
 def test_csr_solve_in_a_fresh_process_loads_scipy_sparse(tmp_path):
-    assert 400 * 400 > lrmc.solvers.DENSE_SIZE_LIMIT
+    assert 400 * 400 > lrmc.sampling.DENSE_SIZE_LIMIT
     fresh, here = tmp_path / "fresh.json", tmp_path / "here.json"
     code = CSR_SOLVE.replace("OUT", repr(str(fresh)))
     assert "scipy.sparse" in _scipy_modules(f"exec({code!r})")
     exec(CSR_SOLVE, {"OUT": str(here)})
     assert json.loads(fresh.read_text()) == json.loads(here.read_text())
+
+
+def test_dense_solve_and_starts_in_a_fresh_process_load_no_scipy():
+    # 600 x 200, wider than 512 but within DENSE_SIZE_LIMIT entries: the
+    # solve and both starts hold their observed matrices dense.
+    assert 600 * 200 <= lrmc.sampling.DENSE_SIZE_LIMIT
+    code = """
+from lrmc import (LooSelector, SolverConfig, SolverVariant, loo_init, run,
+                  spectral_init)
+from lrmc.experiments import gen_ground_truth
+from lrmc.sampling import sample_mask
+gt = gen_ground_truth(600, 200, 2, 1.0, seed=3)
+mask = sample_mask(600, 200, 0.1, seed=4)
+run(gt, mask, SolverConfig(SolverVariant.vanilla(), step=0.5, max_iters=5),
+    spectral_init(gt, mask, 2))
+loo_init(gt, mask, 2, LooSelector(700))
+"""
+    assert not _scipy_modules(f"exec({code!r})")

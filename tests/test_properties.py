@@ -26,14 +26,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrmc import solvers
+from lrmc import sampling, solvers
 from lrmc.metrics import (_align_stack, gl_align, incoherence,
                           procrustes_align)
 from lrmc.model import FactorPair, GroundTruth
 from lrmc.sampling import ObservationMask, sample_mask
 from lrmc.solvers import SolverConfig, SolverVariant, gradient, run, step
-from test_solvers import (LAYOUT_LIMITS, _bits, _dense_gradient,
-                          _dense_objective, _indicator)
+from test_solvers import (LAYOUT_LIMITS, _assert_layout, _bits,
+                          _dense_gradient, _dense_objective, _indicator)
 
 KINDS = ("near", "rotated", "unrelated", "rank_deficient", "nonfinite", "huge")
 DEGENERATE = ("rank_deficient", "nonfinite", "short")
@@ -208,7 +208,7 @@ def test_problem_layouts_match_dense_oracle(layout, tag, data, scale, seed):
     rng = np.random.default_rng(seed)
     f = FactorPair(10.0 ** scale * rng.standard_normal((gt.d1, gt.r)),
                    10.0 ** scale * rng.standard_normal((gt.d2, gt.r)))
-    with mock.patch.object(solvers, "DENSE_SIZE_LIMIT",
+    with mock.patch.object(sampling, "DENSE_SIZE_LIMIT",
                            LAYOUT_LIMITS[layout]):
         problem = solvers._Problem(gt, mask, variant)
     assert problem.dense == (layout == "dense")
@@ -242,8 +242,9 @@ def test_run_iterates_are_public_steps(layout, tag, data, step_size, iters,
                       rng.standard_normal((gt.d2, gt.r)))
     cfg = SolverConfig(variant=variant, step=step_size, max_iters=iters,
                        tol=1e-30, store_factors=True)
-    with mock.patch.object(solvers, "DENSE_SIZE_LIMIT",
+    with mock.patch.object(sampling, "DENSE_SIZE_LIMIT",
                            LAYOUT_LIMITS[layout]):
+        _assert_layout(layout, gt, mask, variant)
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "underdetermined")
             res = run(gt, mask, cfg, init)

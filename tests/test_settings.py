@@ -185,8 +185,9 @@ def test_checked_values_give_the_same_run():
 
 
 # Texts each numeric flag rejects; a flag's name is also its config-file
-# key. The range 1..d1+d2 of --selectors is checked when the theory
-# command runs, as r <= min(d1, d2) is.
+# key. The range 1..d1+d2 of --selectors is checked once d1 and d2 are
+# merged (test_cli), while r <= min(d1, d2) is checked when the command
+# runs.
 FLOAT_BAD = ["nan", "inf", "-inf", "0", "-1", "True", "1e400", "0x1"]
 INT_BAD = ["nan", "inf", "0", "-1", "True", "2.5", "1e3", "3.0"]
 FLAGS = {

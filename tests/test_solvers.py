@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from lrmc import solvers
+from lrmc import sampling, solvers
 from lrmc.experiments import derive_seed, gen_ground_truth
 from lrmc.linalg import frobenius_norm
 from lrmc.metrics import (AlignmentDegenerateError, balancing_norm, dist,
@@ -25,16 +25,22 @@ VARIANTS = [
 ]
 
 
-# The residual layout is picked from d1 * d2 alone (solvers.DENSE_SIZE_LIMIT);
-# setting the limit makes every size below bind the layout named here.
+# The layout of every observed matrix, the residual's and the starts', is
+# picked from d1 * d2 alone (sampling.DENSE_SIZE_LIMIT); setting the limit
+# makes every size below bind the layout named here.
 LAYOUT_LIMITS = {"dense": np.iinfo(np.int64).max, "csr": 0}
 
 
 @pytest.fixture
 def layout(request, monkeypatch):
-    monkeypatch.setattr(solvers, "DENSE_SIZE_LIMIT",
+    monkeypatch.setattr(sampling, "DENSE_SIZE_LIMIT",
                         LAYOUT_LIMITS[request.param])
     return request.param
+
+
+def _assert_layout(layout, gt, mask, variant=SolverVariant.vanilla()):
+    """The problem binds the layout the `layout` fixture set."""
+    assert solvers._Problem(gt, mask, variant).dense == (layout == "dense")
 
 
 def _in_both_layouts(values, ids):
@@ -176,6 +182,7 @@ ORACLE_VARIANTS = VARIANTS + [SolverVariant.leave_one_out(4),
 def test_operator_matches_dense_oracle(mask_name, variant, layout):
     gt = gen_ground_truth(10, 8, 2, 2.0, seed=0)
     mask = ORACLE_MASKS[mask_name]()
+    _assert_layout(layout, gt, mask, variant)
     rng = np.random.default_rng(15)
     for _ in range(3):
         f = _random_pair(rng, 10, 8, 2)
@@ -200,6 +207,7 @@ def test_run_steps_match_dense_oracle(variant, layout):
     # must be the dense-oracle descent step from the recorded iterate.
     gt = gen_ground_truth(12, 9, 2, 2.0, seed=16)
     mask = sample_mask(12, 9, 0.5, seed=17)
+    _assert_layout(layout, gt, mask, variant)
     init = spectral_init(gt, mask, 2)
     cfg = SolverConfig(variant=variant, step=0.5, max_iters=15, tol=1e-30,
                        store_factors=True)
@@ -215,6 +223,7 @@ def test_run_steps_match_dense_oracle(variant, layout):
 def test_run_relative_error_matches_dense_at_converged_iterates(layout):
     gt = gen_ground_truth(60, 40, 3, 2.0, seed=18)
     mask = sample_mask(60, 40, 0.4, seed=19)
+    _assert_layout(layout, gt, mask)
     init = spectral_init(gt, mask, 3)
     cfg = SolverConfig(variant=SolverVariant.vanilla(), step=0.5,
                        tol=1e-14, store_factors=True)
@@ -270,7 +279,7 @@ def test_layouts_agree_on_headline_instance(variant, monkeypatch):
     cfg = SolverConfig(variant=variant, step=0.5, max_iters=5000, tol=1e-14)
     rel = {}
     for name, limit in LAYOUT_LIMITS.items():
-        monkeypatch.setattr(solvers, "DENSE_SIZE_LIMIT", limit)
+        monkeypatch.setattr(sampling, "DENSE_SIZE_LIMIT", limit)
         assert solvers._Problem(gt, mask, variant).dense == (name == "dense")
         res = run(gt, mask, cfg, init)
         assert res.status == "converged"
@@ -443,6 +452,7 @@ ENDINGS = {
 def test_run_records_terminal_iterate_once_off_stride(ending, layout):
     gt = gen_ground_truth(24, 18, 2, 2.0, seed=3)
     mask = sample_mask(24, 18, 0.5, seed=4)
+    _assert_layout(layout, gt, mask)
     cfg = SolverConfig(variant=SolverVariant.vanilla(), record_every=7,
                        compute_dist=True, store_factors=True,
                        **ENDINGS[ending])
@@ -479,6 +489,7 @@ def test_run_chunked_dist_matches_dist_per_iterate(ending, layout, stride,
     monkeypatch.setattr(solvers, "DIST_CHUNK", 5)
     gt = gen_ground_truth(24, 18, 2, 2.0, seed=3)
     mask = sample_mask(24, 18, 0.5, seed=4)
+    _assert_layout(layout, gt, mask)
     cfg = SolverConfig(variant=SolverVariant.vanilla(), record_every=stride,
                        compute_dist=True, store_factors=True,
                        **DIST_ENDINGS[ending])
@@ -612,6 +623,7 @@ def test_run_rejects_nonfinite_init(instance):
 def test_loo_full_observation_matches_balancing_bitwise(layout):
     gt = gen_ground_truth(12, 9, 3, 2.0, seed=10)
     mask = sample_mask(12, 9, 1.0, seed=11)
+    _assert_layout(layout, gt, mask, SolverVariant.balancing())
     init = spectral_init(gt, mask, 3)
     kw = dict(step=0.5, max_iters=60, tol=1e-30, store_factors=True)
     main = run(gt, mask, SolverConfig(variant=SolverVariant.balancing(), **kw),
@@ -659,6 +671,7 @@ def test_run_iterates_are_bitwise_public_steps(variant, layout, ending):
     # The in-place loop takes exactly the step the public functions take.
     gt = gen_ground_truth(24, 18, 2, 2.0, seed=3)
     mask = sample_mask(24, 18, 0.5, seed=4)
+    _assert_layout(layout, gt, mask, variant)
     cfg = SolverConfig(variant=variant, store_factors=True,
                        **BITWISE_ENDINGS[ending])
     init = spectral_init(gt, mask, 2)
@@ -676,6 +689,7 @@ def test_run_iterates_are_bitwise_public_steps(variant, layout, ending):
 def test_run_leaves_init_alone_and_returns_unshared_factors(layout):
     gt = gen_ground_truth(24, 18, 2, 2.0, seed=3)
     mask = sample_mask(24, 18, 0.5, seed=4)
+    _assert_layout(layout, gt, mask, SolverVariant.balancing())
     init = spectral_init(gt, mask, 2)
     before = _bits(init)
     cfg = SolverConfig(variant=SolverVariant.balancing(), step=0.5,
@@ -705,6 +719,7 @@ def test_run_builds_factor_pairs_only_at_the_boundaries(layout, store,
     # number of iterations, only with the number of recorded iterates.
     gt = gen_ground_truth(24, 18, 2, 2.0, seed=3)
     mask = sample_mask(24, 18, 0.5, seed=4)
+    _assert_layout(layout, gt, mask)
     init = spectral_init(gt, mask, 2)
     built = []
     check = FactorPair.__post_init__

@@ -5,10 +5,11 @@ from lrmc.diagnostics import default_selectors
 from lrmc.experiments import derive_seed, gen_ground_truth
 from lrmc.linalg import full_svd
 from lrmc.model import FactorPair
-from lrmc.sampling import LooSelector, loo_cells, loo_project, sample_mask
+from lrmc.sampling import (DENSE_SIZE_LIMIT, LooSelector, loo_cells,
+                           loo_project, sample_mask)
 from lrmc.solvers import SolverConfig, SolverVariant, run
-from lrmc.spectral import (FULL_SVD_DIM_LIMIT, _randomized_svd, loo_init,
-                           spectral_init, truncated_svd)
+from lrmc.spectral import (_randomized_svd, loo_init, spectral_init,
+                           truncated_svd)
 
 
 def test_truncated_svd_diagonal():
@@ -50,7 +51,7 @@ def _orthonormality_gap(a):
 @pytest.mark.parametrize("r", [1, 5, 40])
 @pytest.mark.parametrize("cond", [1e2, 1e4, 1e6])
 def test_dense_truncated_svd_matches_full_svd(shape, r, cond):
-    # Below FULL_SVD_DIM_LIMIT: the Gram eigenvectors and one
+    # Up to DENSE_SIZE_LIMIT entries: the Gram eigenvectors and one
     # Rayleigh-Ritz step give full_svd's top r triplets, sign rule
     # included, on tall and wide matrices up to r = min(d1, d2).
     m = _with_spectrum(np.random.default_rng(r), *shape,
@@ -185,10 +186,10 @@ def _close(f, g, rtol):
 
 @pytest.mark.parametrize("shape", [(600, 520), (300, 700)])
 def test_randomized_starts_match_dense_observed_matrix(shape):
-    # Above FULL_SVD_DIM_LIMIT the starts take the cells as a CSR matrix;
-    # the dense matrix holding the same cells is the oracle.
+    # Above DENSE_SIZE_LIMIT entries the starts take the cells as a CSR
+    # matrix; the dense matrix holding the same cells is the oracle.
     d1, d2 = shape
-    assert max(d1, d2) > FULL_SVD_DIM_LIMIT
+    assert d1 * d2 > DENSE_SIZE_LIMIT
     gt = gen_ground_truth(d1, d2, 3, 2.0, seed=8)
     mask = sample_mask(d1, d2, 0.1, seed=9)
     assert _close(spectral_init(gt, mask, 3),
