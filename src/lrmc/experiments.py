@@ -92,7 +92,8 @@ class ExperimentSpec:
 
     def __post_init__(self):
         for f in fields(self):
-            _CHECKS[f.name](getattr(self, f.name), f.name)
+            object.__setattr__(self, f.name, _CHECKS[f.name](
+                getattr(self, f.name), f.name))
         if "RGD" in self.algorithms and not self.lambdas:
             raise ValueError("lambdas must hold one or more values for RGD")
 

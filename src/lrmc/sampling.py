@@ -57,14 +57,15 @@ class ObservationMask:
     row_ptr: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for d in (self.d1, self.d2):
-            _check_int(d, "dimensions d1, d2")
-        _check_real(self.p, "sampling rate p", "(0, 1]")
+        for d in ("d1", "d2"):
+            object.__setattr__(self, d, _check_int(getattr(self, d),
+                                                   "dimensions d1, d2"))
+        object.__setattr__(self, "p", _check_real(self.p, "sampling rate p",
+                                                  "(0, 1]"))
 
     @classmethod
     def from_cells(cls, d1, d2, p, rows, cols, seed=None):
         d1, d2 = (_check_int(d, "dimensions d1, d2") for d in (d1, d2))
-        p = _check_real(p, "sampling rate p", "(0, 1]")
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         if rows.shape != cols.shape:
@@ -97,7 +98,7 @@ class LooSelector:
     l: int
 
     def __post_init__(self):
-        _check_int(self.l, "selector l")
+        object.__setattr__(self, "l", _check_int(self.l, "selector l"))
 
     def axis(self, d1):
         return "row" if self.l <= d1 else "col"

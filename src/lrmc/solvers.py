@@ -113,10 +113,10 @@ class SolverConfig:
     store_factors: bool = False
 
     def __post_init__(self):
-        _check_real(self.step, "step")
-        _check_real(self.tol, "tol")
-        _check_int(self.max_iters, "max_iters")
-        _check_int(self.record_every, "record_every")
+        for name, check in (("step", _check_real), ("tol", _check_real),
+                            ("max_iters", _check_int),
+                            ("record_every", _check_int)):
+            object.__setattr__(self, name, check(getattr(self, name), name))
 
 
 @dataclass

@@ -13,6 +13,7 @@ from lrmc.experiments import (ExperimentSpec, PhaseGrid, derive_seed,
                               run_convergence, run_phase, run_timing,
                               write_summary)
 from lrmc.spectral import spectral_init
+from lrmc.svgplot import plot_csv
 
 
 def test_spec_validation():
@@ -110,6 +111,17 @@ def test_run_convergence_rows_and_csv(tmp_path):
                                      "dist", "balancing", "seconds", "status"]
         file_rows = list(reader)
     assert len(file_rows) == len(rows)
+
+
+def test_run_convergence_csv_with_numpy_lambdas_plots(tmp_path):
+    # The spec keeps each lambda as the float its check returns, so the
+    # lambda column holds numbers the lines plot reads.
+    spec = ExperimentSpec(**{**SMALL, "algorithms": ("RGD",),
+                             "lambdas": (np.float64(1e-6),)})
+    path = tmp_path / "conv.csv"
+    run_convergence(spec, csv_path=path, compute_dist=False)
+    plot_csv(path, "lines", tmp_path / "conv.svg")
+    assert "RGD (lam=1e-06)" in (tmp_path / "conv.svg").read_text()
 
 
 def test_run_convergence_writes_each_runs_status_on_its_rows(tmp_path):
@@ -303,6 +315,12 @@ def test_run_timing_rows(tmp_path):
         assert r["n_ok"] + r["n_fail"] == 2
         if r["n_ok"]:
             assert float(r["mean_s"]) > 0.0
+
+
+def test_run_timing_writes_a_numpy_rate_as_a_number():
+    spec = ExperimentSpec(**{**SMALL, "p": np.float64(0.5),
+                             "algorithms": ("VGD",)})
+    assert [float(r["p"]) for r in run_timing(spec)] == [0.5]
 
 
 def test_run_timing_rotates_which_config_goes_first(monkeypatch):

@@ -1,5 +1,8 @@
 """Traced peak memory of the large-problem path and of the theory checker.
 
+These tests are the peak-memory gate CI relies on; each bound is one
+d1 x d2 float64 matrix, or one DIST_CHUNK slice for the checker.
+
 Above DENSE_SIZE_LIMIT entries d1 * d2 the library works on the observed
 cells, so no call may hold a transient d1 x d2 float64 matrix on top of
 what its caller already holds: the target's check, the mask draw, both
@@ -89,6 +92,14 @@ CALLS = {
 def test_large_path_holds_no_dense_temporary(instance, call):
     peak = traced_peak(lambda: CALLS[call](*instance))
     assert peak < MATRIX, f"{call}: {peak / MATRIX:.2f} d1 x d2 matrices"
+
+
+def test_target_draw_transient_is_under_one_matrix():
+    # gen_ground_truth keeps m_star, one d1 x d2 matrix; drawing and
+    # checking it holds less than one more on top.
+    assert D1 * D2 > DENSE_SIZE_LIMIT
+    peak, kept = traced(lambda: gen_ground_truth(D1, D2, R, 2.0, seed=5))
+    assert peak - kept <= MATRIX, f"{(peak - kept) / MATRIX:.2f} matrices"
 
 
 @pytest.mark.parametrize("sel", [None, 4, 409], ids=["spectral_init",

@@ -1,13 +1,9 @@
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-import lrmc
 from lrmc import metrics
 from lrmc.experiments import derive_seed, gen_ground_truth
 from lrmc.metrics import (RANK_DEFICIENCY_TOL, AlignmentDegenerateError,
@@ -445,14 +441,6 @@ def test_align_stack_items_match_their_single_calls():
                 res = gl_align(f, target)
                 assert res.residual == stacked[2][j]
                 np.testing.assert_array_equal(res.matrix, stacked[0][j])
-
-
-def test_import_leaves_scipy_optimize_unloaded():
-    src = os.path.dirname(os.path.dirname(lrmc.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, lrmc; sys.exit('scipy.optimize' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env)
-    assert proc.returncode == 0
 
 
 def test_rank_mismatch_raises():

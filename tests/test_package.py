@@ -1,5 +1,9 @@
 """Checks on the package as a whole: README's example and what `import lrmc`
-loads."""
+loads.
+
+test_import_loads_no_scipy is the start-up gate CI relies on: neither
+`import lrmc` nor the CLI's --help text may load a scipy module.
+"""
 
 import json
 import os
@@ -34,17 +38,11 @@ def _scipy_modules(statement, prefix="scipy"):
     return set(proc.stdout.split())
 
 
-def test_import_loads_no_scipy_beyond_sparse():
-    # scipy.sparse holds the CSR residual layout; every other scipy module,
-    # scipy.linalg with its own BLAS build among them, stays unloaded.
-    extra = _scipy_modules("import lrmc") - _scipy_modules("import scipy.sparse")
-    assert not extra, sorted(extra)
-
-
 def test_import_loads_no_scipy():
     # scipy.sparse is imported with the first CSR matrix, so neither the
-    # library nor the CLI loads scipy at start-up.
-    for statement in ("import lrmc", "import lrmc.cli"):
+    # library nor the CLI, up to its --help text, loads scipy at start-up.
+    cli_help = "import lrmc.cli; lrmc.cli._build_parser().format_help()"
+    for statement in ("import lrmc", cli_help):
         assert not _scipy_modules(statement), statement
 
 

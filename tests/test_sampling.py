@@ -244,6 +244,17 @@ def test_mask_roundtrip(tmp_path):
     assert (back.rows == mask.rows).all() and (back.cols == mask.cols).all()
 
 
+def test_mask_with_a_numpy_rate_roundtrips(tmp_path):
+    # The mask keeps the float its check returns, so its header holds a
+    # number load_mask reads.
+    mask = dataclasses.replace(sample_mask(6, 5, 0.4, seed=3),
+                               p=np.float64(0.5))
+    path = tmp_path / "mask.txt"
+    save_mask(mask, path)
+    back = load_mask(path)
+    assert back.p == 0.5 and (back.rows == mask.rows).all()
+
+
 def test_empty_mask_roundtrip(tmp_path):
     mask = ObservationMask.from_cells(3, 2, 0.5, [], [])
     path = tmp_path / "empty.txt"
