@@ -53,6 +53,6 @@ for clause in "abcde":
     print(f"  clause {clause}: {hit}/{len(rows)} satisfied, "
           f"worst lhs/rhs = {worst:.3f}")
 
-ratio = concentration_check(mask, p=0.4, trials=50, seed=2)
+ratio = concentration_check(mask, trials=50, seed=2)
 print(f"\nconcentration spot check: worst observed ratio {ratio:.4f} "
       "(constant set to 1)")

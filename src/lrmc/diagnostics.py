@@ -92,15 +92,15 @@ def balancing_drift_check(balancing_trace, kappa, s, sigma_max, dist0):
         drift_ok=max_drift <= bound)
 
 
-def concentration_check(mask, p, trials, seed):
+def concentration_check(mask, trials, seed):
     """Worst observed ratio of |<(p^-1 P_Omega - I)(Xa Ya.T), Xb Yb.T>| to
-    its concentration bound with the constant set to 1.
+    its concentration bound with the constant set to 1, where p = mask.p.
 
     A diagnostic (the theory's constant is unspecified), not a pass/fail.
     """
     _check_int(trials, "trials")
     rng = np.random.default_rng(seed)
-    d1, d2 = mask.d1, mask.d2
+    d1, d2, p = mask.d1, mask.d2, mask.p
     r = max(1, min(d1, d2) // 8)
     dmax = max(d1, d2)
     worst = 0.0

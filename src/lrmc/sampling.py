@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .model import _check_int, _check_real
+from .model import _check_int, _check_real, _must
 
 __all__ = [
     "ObservationMask",
@@ -40,12 +40,21 @@ _DRAW_BLOCK = 1 << 16
 DENSE_SIZE_LIMIT = 1 << 17
 
 
+def _check_seed(seed):
+    """seed as an int Philox key, in [0, 2**64)."""
+    seed = _check_int(seed, "seed", low=0)
+    if seed >= 2 ** 64:
+        raise ValueError(_must("seed", "an integer < 2**64", seed))
+    return seed
+
+
 @dataclass(frozen=True)
 class ObservationMask:
-    """Set of observed (i, j) cells of a d1 x d2 matrix.
-
-    rows/cols are sorted in row-major order, and row_ptr[i]:row_ptr[i+1]
-    slices the cells of row i.
+    """Set of observed (i, j) cells of a d1 x d2 matrix, built only by the
+    constructor (so by `dataclasses.replace` and `from_cells` too): it
+    checks d1, d2, p and seed, rejects cells out of bounds or repeated,
+    and stores them read-only, stably sorted row-major, with row_ptr
+    derived: row_ptr[i]:row_ptr[i+1] slices the cells of row i.
     """
 
     d1: int
@@ -54,20 +63,15 @@ class ObservationMask:
     seed: int | None
     rows: np.ndarray
     cols: np.ndarray
-    row_ptr: np.ndarray = field(repr=False)
+    row_ptr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for d in ("d1", "d2"):
-            object.__setattr__(self, d, _check_int(getattr(self, d),
-                                                   "dimensions d1, d2"))
-        object.__setattr__(self, "p", _check_real(self.p, "sampling rate p",
-                                                  "(0, 1]"))
-
-    @classmethod
-    def from_cells(cls, d1, d2, p, rows, cols, seed=None):
-        d1, d2 = (_check_int(d, "dimensions d1, d2") for d in (d1, d2))
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
+        d1, d2 = (_check_int(d, "dimensions d1, d2")
+                  for d in (self.d1, self.d2))
+        p = _check_real(self.p, "sampling rate p", "(0, 1]")
+        seed = None if self.seed is None else _check_seed(self.seed)
+        rows = np.asarray(self.rows, dtype=np.int64)
+        cols = np.asarray(self.cols, dtype=np.int64)
         if rows.shape != cols.shape:
             raise ValueError("rows and cols must have the same length")
         if rows.size and (rows.min() < 0 or rows.max() >= d1
@@ -75,15 +79,20 @@ class ObservationMask:
             raise ValueError("cell coordinates out of bounds")
         flat = rows * d2 + cols
         order = np.argsort(flat, kind="stable")
-        flat = flat[order]
-        if flat.size and np.any(np.diff(flat) == 0):
+        if flat.size and np.any(np.diff(flat[order]) == 0):
             raise ValueError("duplicate cells in mask")
         rows, cols = rows[order], cols[order]
         row_ptr = np.searchsorted(rows, np.arange(d1 + 1))
         for a in (rows, cols, row_ptr):
             a.setflags(write=False)
-        return cls(d1=d1, d2=d2, p=p, seed=seed,
-                   rows=rows, cols=cols, row_ptr=row_ptr)
+        # frozen: the checked values go past the dataclass's __setattr__
+        vars(self).update(d1=d1, d2=d2, p=p, seed=seed, rows=rows,
+                          cols=cols, row_ptr=row_ptr)
+
+    @classmethod
+    def from_cells(cls, d1, d2, p, rows, cols, seed=None):
+        """The constructor, with `seed` last and None by default."""
+        return cls(d1=d1, d2=d2, p=p, seed=seed, rows=rows, cols=cols)
 
     @property
     def n_cells(self):
@@ -122,13 +131,13 @@ def sample_mask(d1, d2, p, seed):
     """
     d1, d2 = (_check_int(d, "dimensions d1, d2") for d in (d1, d2))
     p = _check_real(p, "sampling rate p", "(0, 1]")
+    seed = _check_seed(seed)
     rng = Generator(Philox(key=np.uint64(seed)))
     step = max(1, _DRAW_BLOCK // d2)
     flat = np.concatenate([
         np.nonzero(rng.random(min(step, d1 - i) * d2) < p)[0] + i * d2
         for i in range(0, d1, step)])
-    return ObservationMask.from_cells(d1, d2, p, flat // d2, flat % d2,
-                                      seed=int(seed))
+    return ObservationMask(d1, d2, p, seed, flat // d2, flat % d2)
 
 
 def _check_dims(shape, mask, what="matrix shape"):
@@ -165,8 +174,8 @@ def project(m, mask):
     return out
 
 
-def loo_project(m, mask, sel, p):
-    """Apply P_{Omega minus line l} + p * P_{line l}, densely.
+def loo_project(m, mask, sel):
+    """Apply P_{Omega minus line l} + p * P_{line l}, densely, p = mask.p.
 
     On every row (column) except the selector's target this is `project`;
     the target line is returned in full, scaled by p. Dividing the result
@@ -178,9 +187,9 @@ def loo_project(m, mask, sel, p):
     sel.validate(mask.d1, mask.d2)
     t = sel.index(mask.d1)
     if sel.axis(mask.d1) == "row":
-        out[t, :] = p * m[t, :]
+        out[t, :] = mask.p * m[t, :]
     else:
-        out[:, t] = p * m[:, t]
+        out[:, t] = mask.p * m[:, t]
     return out
 
 

@@ -97,7 +97,7 @@ class SolverVariant:
 
     @classmethod
     def leave_one_out(cls, sel):
-        if isinstance(sel, int):
+        if not isinstance(sel, LooSelector):
             sel = LooSelector(sel)
         return cls(tag="leave_one_out", sel=sel)
 

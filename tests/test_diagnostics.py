@@ -51,15 +51,15 @@ def test_balancing_drift_flags():
 
 def test_concentration_zero_at_full_observation():
     mask = sample_mask(20, 16, 1.0, seed=0)
-    assert concentration_check(mask, 1.0, trials=5, seed=1) < 1e-12
+    assert concentration_check(mask, trials=5, seed=1) < 1e-12
 
 
 def test_concentration_finite_and_validated():
     mask = sample_mask(60, 40, 0.2, seed=2)
-    ratio = concentration_check(mask, 0.2, trials=20, seed=3)
+    ratio = concentration_check(mask, trials=20, seed=3)
     assert np.isfinite(ratio) and ratio > 0.0
     with pytest.raises(ValueError):
-        concentration_check(mask, 0.2, trials=0, seed=0)
+        concentration_check(mask, trials=0, seed=0)
 
 
 def test_concentration_shrinks_with_denser_sampling():
@@ -68,8 +68,8 @@ def test_concentration_shrinks_with_denser_sampling():
     for seed in range(4):
         m_lo = sample_mask(60, 40, 0.1, seed=10 + seed)
         m_hi = sample_mask(60, 40, 0.8, seed=10 + seed)
-        lo.append(concentration_check(m_lo, 0.1, trials=10, seed=seed))
-        hi.append(concentration_check(m_hi, 0.8, trials=10, seed=seed))
+        lo.append(concentration_check(m_lo, trials=10, seed=seed))
+        hi.append(concentration_check(m_hi, trials=10, seed=seed))
     assert np.mean(hi) < np.mean(lo)
 
 

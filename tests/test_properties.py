@@ -5,6 +5,9 @@
 3. `dist` is invariant under (X G, Y G^-T).
 4. Both residual layouts of `solvers._Problem` match the dense oracle.
 5. `run`'s iterates are bitwise equal to the public steps.
+6. A mask's constructor rejects a cell list or stores it sorted and
+   unique, with `row_ptr` slicing `rows`, and its dense and CSR observed
+   matrices agree.
 
 The alignment properties draw (K, d1, r) and (K, d2, r) stacks, K <= 4 and
 r <= 6, whose items mix near-target pairs (X* G, Y* G^-T) plus noise, exact
@@ -14,8 +17,9 @@ scaled near overflow (the last reach the damping, the step cap and an
 overflowed damping bound). Some stacks have fewer rows than r on one side,
 so every item is rank-deficient. The solver properties draw problems up to
 12 x 12 with r <= 3 on Bernoulli masks, masks with an empty row and/or
-column, and fully observed masks. The Hypothesis profile in conftest.py
-makes the examples the same on every run.
+column, and fully observed masks. The cell lists hold up to 8 x 8 cells
+in any order, some with a repeated cell or one out of bounds by one. The
+Hypothesis profile in conftest.py makes the examples the same on every run.
 """
 
 import warnings
@@ -254,3 +258,48 @@ def test_run_iterates_are_public_steps(layout, tag, data, step_size, iters,
             for f, nxt in zip(res.factors, res.factors[1:]):
                 expected = step(f, gradient(f, gt, mask, variant), step_size)
                 assert _bits(nxt) == _bits(expected)
+
+
+@st.composite
+def cell_lists(draw):
+    """(d1, d2, rows, cols): distinct cells in any order, and in some lists
+    a repeated cell and/or a cell one past the bounds on any side."""
+    d1, d2 = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    flat = draw(st.lists(st.integers(0, d1 * d2 - 1), unique=True))
+    cells = [divmod(f, d2) for f in flat]
+    if cells and draw(st.booleans()):
+        cells.append(draw(st.sampled_from(cells)))
+    if draw(st.booleans()):
+        cells.append(draw(st.sampled_from(
+            ((-1, 0), (d1, 0), (0, -1), (0, d2)))))
+    cells = draw(st.permutations(cells))
+    return d1, d2, [i for i, _ in cells], [j for _, j in cells]
+
+
+@settings(max_examples=100)
+@given(case=cell_lists())
+def test_mask_constructor_sorts_or_rejects_cells(case):
+    # Invariant 6: the constructor is the one place cells are checked and
+    # sorted, so no mask's two observed matrices can disagree.
+    d1, d2, rows, cols = case
+    given_cells = list(zip(rows, cols))
+    bad = (len(set(given_cells)) < len(given_cells)
+           or any(not (0 <= i < d1 and 0 <= j < d2) for i, j in given_cells))
+    try:
+        mask = ObservationMask(d1, d2, 0.5, None, rows, cols)
+    except ValueError:
+        assert bad
+        return
+    assert not bad
+    assert list(zip(mask.rows.tolist(), mask.cols.tolist())) == sorted(
+        given_cells)
+    assert mask.row_ptr[0] == 0 and mask.row_ptr[-1] == mask.n_cells
+    for i in range(d1):
+        assert (mask.rows[mask.row_ptr[i]:mask.row_ptr[i + 1]] == i).all()
+    values = np.arange(1.0, mask.n_cells + 1)  # one per cell, in cell order
+    observed = {}
+    for layout, limit in LAYOUT_LIMITS.items():
+        with mock.patch.object(sampling, "DENSE_SIZE_LIMIT", limit):
+            observed[layout] = sampling._observed_matrix(mask, values)
+    assert isinstance(observed["dense"], np.ndarray)
+    assert np.array_equal(observed["csr"].toarray(), observed["dense"])

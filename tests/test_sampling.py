@@ -99,9 +99,86 @@ def test_direct_construction_rejects_bad_dims_and_rate(d1, d2, p, error):
     good = ObservationMask.from_cells(3, 3, 0.5, [0], [1])
     with pytest.raises(error, match="dimensions|sampling rate"):
         ObservationMask(d1=d1, d2=d2, p=p, seed=None, rows=good.rows,
-                        cols=good.cols, row_ptr=good.row_ptr)
+                        cols=good.cols)
     with pytest.raises(error, match="dimensions|sampling rate"):
         dataclasses.replace(good, d1=d1, d2=d2, p=p)
+
+
+def test_replace_checks_the_cells_against_new_dims():
+    # A 6 x 5 mask cut to 3 rows used to keep its row-5 cells and a
+    # 7-entry row_ptr, and spectral_init failed deep inside with an
+    # IndexError.
+    mask = sample_mask(6, 5, 0.6, seed=3)
+    with pytest.raises(ValueError, match="cell coordinates out of bounds"):
+        dataclasses.replace(mask, d1=3)
+
+
+def test_replace_sorts_shuffled_cells_and_derives_row_ptr():
+    # Shuffled cells used to be stored as given, with the old row_ptr, so
+    # the dense and CSR observed matrices disagreed.
+    mask = sample_mask(6, 5, 0.6, seed=3)
+    perm = np.random.default_rng(0).permutation(mask.n_cells)
+    back = dataclasses.replace(mask, rows=mask.rows[perm],
+                               cols=mask.cols[perm])
+    for name in ("rows", "cols", "row_ptr"):
+        got, want = getattr(back, name), getattr(mask, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not got.flags.writeable
+
+
+def test_row_ptr_is_derived_not_given():
+    mask = sample_mask(6, 5, 0.6, seed=3)
+    with pytest.raises(TypeError, match="row_ptr"):
+        ObservationMask(d1=6, d2=5, p=0.6, seed=3, rows=mask.rows,
+                        cols=mask.cols, row_ptr=np.zeros(7, dtype=np.int64))
+    with pytest.raises(ValueError, match="row_ptr"):
+        dataclasses.replace(mask, row_ptr=np.zeros(7, dtype=np.int64))
+
+
+@pytest.mark.parametrize("rows, cols, message", [
+    ([0, 0], [1, 1], "duplicate cells in mask"),
+    ([3], [0], "cell coordinates out of bounds"),
+    ([0], [-1], "cell coordinates out of bounds"),
+    ([0], [0, 1], "rows and cols must have the same length")])
+def test_constructor_checks_cells_as_from_cells(rows, cols, message):
+    for make in (ObservationMask, ObservationMask.from_cells):
+        with pytest.raises(ValueError, match=message):
+            make(3, 3, 0.5, rows=rows, cols=cols, seed=None)
+
+
+@pytest.mark.parametrize("seed, error, message", [
+    (1.5, TypeError, "an integer"), (True, TypeError, "an integer"),
+    ("3", TypeError, "an integer"), (-1, ValueError, "an integer >= 0"),
+    (2 ** 64, ValueError, "an integer < 2\\*\\*64")])
+def test_mask_seed_is_checked(seed, error, message):
+    # sample_mask used to draw with key 1 for 1.5 and store seed=1, accept
+    # True, and raise OverflowError for -1 and 2**64; the constructor kept
+    # any seed, and a seed of 2.5 was saved in a header load_mask rejects.
+    mask = sample_mask(6, 5, 0.5, seed=1)
+    for make in (lambda: sample_mask(6, 5, 0.5, seed),
+                 lambda: dataclasses.replace(mask, seed=seed),
+                 lambda: ObservationMask.from_cells(6, 5, 0.5, [0], [1],
+                                                    seed=seed)):
+        with pytest.raises(error, match=f"^seed must be {message}, got"):
+            make()
+
+
+def test_seed_is_none_or_a_python_int():
+    with pytest.raises(TypeError, match="^seed must be an integer"):
+        sample_mask(3, 2, 0.5, None)  # sample_mask needs a key
+    assert ObservationMask.from_cells(3, 2, 0.5, [0], [1]).seed is None
+    assert sample_mask(3, 2, 0.5, 2 ** 64 - 1).seed == 2 ** 64 - 1
+    for seed in (np.uint64(7), np.int64(7)):
+        assert type(sample_mask(3, 2, 0.5, seed).seed) is int
+        mask = ObservationMask.from_cells(3, 2, 0.5, [0], [1], seed=seed)
+        assert type(mask.seed) is int and mask.seed == 7
+
+
+def test_load_mask_rejects_a_negative_seed(tmp_path):
+    path = tmp_path / "mask.txt"
+    path.write_text("3 2 0.5 -1\n0 1\n")
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        load_mask(path)
 
 
 def test_load_mask_rejects_bad_dims(tmp_path):
@@ -189,13 +266,13 @@ def test_loo_project_matches_manual(l):
         expected[sel.index(d1), :] = p * m[sel.index(d1), :]
     else:
         expected[:, sel.index(d1)] = p * m[:, sel.index(d1)]
-    assert (loo_project(m, mask, sel, p) == expected).all()
+    assert (loo_project(m, mask, sel) == expected).all()
 
 
 def test_loo_project_full_mask_is_identity_up_to_p():
     m = np.random.default_rng(1).standard_normal((5, 4))
     mask = sample_mask(5, 4, 1.0, seed=0)
-    out = loo_project(m, mask, LooSelector(2), 1.0)
+    out = loo_project(m, mask, LooSelector(2))
     assert (out == m).all()
 
 
@@ -226,7 +303,7 @@ def test_loo_cells_match_loo_project(case):
     cells, div = loo_cells(mask, sel)
     scattered = np.zeros((10, 8))
     scattered[cells.rows, cells.cols] = m[cells.rows, cells.cols] / div
-    dense = loo_project(m, mask, sel, mask.p) / mask.p
+    dense = loo_project(m, mask, sel) / mask.p
     assert (_indicator(cells) == (dense != 0)).all()
     np.testing.assert_array_max_ulp(scattered, dense, maxulp=1)
     on_row = sel.axis(10) == "row"

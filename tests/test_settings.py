@@ -102,6 +102,17 @@ def test_direct_variants_are_checked():
             == SolverVariant.leave_one_out(3))
 
 
+def test_leave_one_out_wraps_a_numpy_selector():
+    # A numpy integer used to reach the constructor unwrapped and was
+    # rejected as "sel, a LooSelector, is for the leave_one_out variant".
+    for l in (np.int64(7), np.uint8(7)):
+        variant = SolverVariant.leave_one_out(l)
+        assert variant == SolverVariant.leave_one_out(LooSelector(7))
+        assert type(variant.sel.l) is int
+    for bad in (True, 7.0, np.float64(7.0), None):
+        _rejects(lambda: SolverVariant.leave_one_out(bad))
+
+
 SPEC = dict(d1=10, d2=8, r=2)
 SPEC_FIELDS = {
     "d1": bad_ints(), "d2": bad_ints(), "r": bad_ints(),
@@ -159,13 +170,24 @@ def test_masks_reject(data, field):
     _rejects(lambda: ObservationMask.from_cells(**args, rows=[0], cols=[0]))
 
 
+@settings(max_examples=60)
+@given(seed=st.one_of(bad_ints(low=0), st.integers(min_value=2 ** 64)))
+def test_mask_seeds_reject(seed):
+    # A mask's seed is None or a Philox key, an integer in [0, 2**64);
+    # sample_mask needs a key.
+    _rejects(lambda: sample_mask(6, 5, 0.5, seed))
+    if seed is not None:
+        _rejects(lambda: ObservationMask.from_cells(6, 5, 0.5, [0], [0],
+                                                    seed=seed))
+
+
 @pytest.mark.parametrize("r", [0, -1, 1.0, True, math.nan])
 def test_rank_trials_and_selector_checked(r):
     gt = gen_ground_truth(6, 5, 2, 1.0, seed=0)
     mask = sample_mask(6, 5, 0.5, seed=1)
     _rejects(lambda: spectral_init(gt, mask, r))
     _rejects(lambda: truncated_svd(np.ones((6, 5)), r))
-    _rejects(lambda: concentration_check(mask, 0.5, trials=r, seed=0))
+    _rejects(lambda: concentration_check(mask, trials=r, seed=0))
     _rejects(lambda: LooSelector(r))
     _rejects(lambda: SolverVariant.leave_one_out(r))
 

@@ -367,7 +367,7 @@ def test_every_entry_point_makes_one_shape_check():
                                              r"target shape \(10, 8\)$"):
             call()
     for call in (lambda: project(gt.m_star, mask),
-                 lambda: loo_project(gt.m_star, mask, LooSelector(1), 0.5)):
+                 lambda: loo_project(gt.m_star, mask, LooSelector(1))):
         with pytest.raises(ValueError, match=r"^mask \(10, 9\) does not fit "
                                              r"matrix shape \(10, 8\)$"):
             call()

@@ -131,7 +131,7 @@ def test_loo_init_matches_explicit_matrix(l):
     gt = gen_ground_truth(15, 25, 3, 2.0, seed=4)
     mask = sample_mask(15, 25, 0.5, seed=5)
     sel = LooSelector(l)
-    m0 = loo_project(gt.m_star, mask, sel, mask.p) / mask.p
+    m0 = loo_project(gt.m_star, mask, sel) / mask.p
     t = truncated_svd(m0, 3)
     f0 = loo_init(gt, mask, 3, sel)
     root = np.sqrt(t.sigma0)
@@ -156,7 +156,7 @@ def test_loo_init_matches_loo_project_start_on_headline_instance():
     mask = sample_mask(160, 100, 0.2, derive_seed(1, (1, 0), "VGD", 0))
     iterations = []
     for sel in default_selectors(160, 100):
-        t = truncated_svd(loo_project(gt.m_star, mask, sel, 0.2) / 0.2, 5)
+        t = truncated_svd(loo_project(gt.m_star, mask, sel) / 0.2, 5)
         root = np.sqrt(t.sigma0)
         dense = FactorPair(t.u0 * root, t.v0 * root)
         f0 = loo_init(gt, mask, 5, sel)
