@@ -3,7 +3,7 @@ numeric setting of the library goes through when it is constructed."""
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,12 +41,23 @@ def _must(name, rule, value):
     return f"{name} must be {rule}, got {value!r}".lstrip()
 
 
+def _fields_equal(a, b):
+    """`==` for a dataclass holding arrays: a bool, true when every field is
+    equal, arrays compared by np.array_equal."""
+    if type(a) is not type(b):
+        return NotImplemented
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in fields(a))
+
+
 @dataclass(frozen=True)
 class FactorPair:
     """The iterate (X, Y) with X d1 x r and Y d2 x r."""
 
     x: np.ndarray
     y: np.ndarray
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         if self.x.ndim != 2 or self.y.ndim != 2:
@@ -79,6 +90,8 @@ class GroundTruth:
     m_star: np.ndarray      # d1 x d2
     kappa: float            # sigma_max / sigma_min
     mu: float               # incoherence coefficient (>= 1)
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         if np.shape(self.m_star) != (self.d1, self.d2):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .model import _check_int, _check_real, _must
+from .model import _check_int, _check_real, _fields_equal, _must
 
 __all__ = [
     "ObservationMask",
@@ -36,7 +36,13 @@ __all__ = [
 # sample_mask draws its stream in row blocks of about this many entries.
 _DRAW_BLOCK = 1 << 16
 # Up to this many entries d1 * d2 an observed matrix is dense (read at call
-# time); the solve's crossover at one BLAS thread lies between 6e4 and 2e5.
+# time). A vanilla solve's iteration, dense against CSR, at 1 BLAS thread
+# and r=5 (medians of 7 interleaved runs of 200 iterations): at 300x200
+# (6e4 entries) 150 against 184 us at p=0.1 and 151 against 510 us at
+# p=0.3; at 400x300 (1.2e5) 432 against 457 and 319 against 810 us; at
+# 500x400 (2e5) 819 against 489 and 651 against 1313 us. The CSR cost
+# grows with the cells, so at p=0.1 the crossover lies between 1.2e5 and
+# 2e5 entries, and at p=0.2 and 0.3 dense was cheaper at all three sizes.
 DENSE_SIZE_LIMIT = 1 << 17
 
 
@@ -48,13 +54,23 @@ def _check_seed(seed):
     return seed
 
 
+def _check_coords(coords, name):
+    """Cell coordinates as a 1-D int64 array: 1-D integers, or empty."""
+    a = np.asarray(coords)
+    if a.ndim != 1 or a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be a 1-D array of integers, got "
+                         f"{a.dtype} with shape {a.shape}")
+    return a.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class ObservationMask:
     """Set of observed (i, j) cells of a d1 x d2 matrix, built only by the
     constructor (so by `dataclasses.replace` and `from_cells` too): it
-    checks d1, d2, p and seed, rejects cells out of bounds or repeated,
-    and stores them read-only, stably sorted row-major, with row_ptr
-    derived: row_ptr[i]:row_ptr[i+1] slices the cells of row i.
+    checks d1, d2, p and seed, takes the cells as 1-D integer arrays,
+    rejects cells out of bounds or repeated, and stores them read-only,
+    stably sorted row-major, with row_ptr derived: row_ptr[i]:row_ptr[i+1]
+    slices the cells of row i. `==` compares every field.
     """
 
     d1: int
@@ -65,13 +81,15 @@ class ObservationMask:
     cols: np.ndarray
     row_ptr: np.ndarray = field(init=False, repr=False)
 
+    __eq__ = _fields_equal
+
     def __post_init__(self):
         d1, d2 = (_check_int(d, "dimensions d1, d2")
                   for d in (self.d1, self.d2))
         p = _check_real(self.p, "sampling rate p", "(0, 1]")
         seed = None if self.seed is None else _check_seed(self.seed)
-        rows = np.asarray(self.rows, dtype=np.int64)
-        cols = np.asarray(self.cols, dtype=np.int64)
+        rows, cols = (_check_coords(a, name) for a, name in
+                      ((self.rows, "rows"), (self.cols, "cols")))
         if rows.shape != cols.shape:
             raise ValueError("rows and cols must have the same length")
         if rows.size and (rows.min() < 0 or rows.max() >= d1

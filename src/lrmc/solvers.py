@@ -24,6 +24,18 @@ gives the objective and the gradient. Above the limit it lives only on
 the cells, in a CSR matrix, and the relative error comes from numpy's QR
 of the factors; there, forming X Y.T would cost more than it saves.
 
+The CSR residual is formed in blocks of cells whose gathered factor rows
+take about RESIDUAL_BLOCK_BYTES, so they stay in cache. Per block, the
+rows of X and of Y at its cells are gathered and multiplied in place,
+and each row is summed by one matrix-vector product with a vector of
+ones, written straight into S's data; M* at the cells is then
+subtracted and the divisors divided out, in place. OpenBLAS sums a
+product's rows in groups of 4 from its first row, and the rows past the
+last group another way, which can differ in the last bit. Every block
+starts at a multiple of 8 cells, so each cell is summed the same way at
+any block size, and blocks are too small for OpenBLAS to split a product
+across threads, so S does not depend on the BLAS thread count either.
+
 `run` holds the iterate in one (d1+d2) x r buffer [X; Y] and the gradient
 in a second one, and steps in place, so an iteration allocates no factor
 arrays. A FactorPair is built only at the boundaries: a copy of each
@@ -61,6 +73,16 @@ DIVERGENCE_REL_ERR = 1e6
 # VGD's in 117-121 ms at each size. 32 stays because it also sets the size
 # of diagnostics.hypothesis_check's slices, which bounds its memory.
 DIST_CHUNK = 32
+# The CSR residual is formed this many bytes of gathered factor rows at a
+# time (module docstring): for an iterate of rank r, a block holds
+# RESIDUAL_BLOCK_BYTES // (8 r) cells, rounded down to a multiple of 8. At
+# 2000x1500 and 3000x2000, p=0.05, r=5 and r=20 (1 BLAS thread, medians
+# of 41 interleaved calls), blocks of 128 KB and 256 KB were equally fast,
+# 64 KB blocks 3-14 % slower, and one gather of every cell 2.8-3.6x slower.
+# A block's product, 32,768 entries, is far below the size at which 2
+# OpenBLAS threads changed a product's sums: 480,000 entries did, and
+# 400,000 did not.
+RESIDUAL_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -176,10 +198,12 @@ class _Problem:
     one preallocated d1 x d2 buffer, and once its norm is taken it is
     multiplied in place by W, which holds 1/divisor on the cells and 0
     elsewhere. In the CSR layout the residual is written in place into the
-    data of a CSR matrix S, so the gradient costs O(|cells| r). There the
-    relative error takes O((d1+d2) r^2): with A = [X, -U* S*] and
-    B = [Y, V*], X Y.T - M* = A B.T, and ||A B.T||_F = ||B R_A.T||_F for
-    the triangular factor R_A of a QR of A.
+    data of a CSR matrix S, so the gradient costs O(|cells| r); it is
+    formed block by block (module docstring), so no |cells| x r array is
+    held. There the relative error takes O((d1+d2) r^2): with
+    A = [X, -U* S*] and B = [Y, V*], X Y.T - M* = A B.T, and
+    ||A B.T||_F = ||B R_A.T||_F for the triangular factor R_A of a QR of
+    A.
     """
 
     def __init__(self, gt, mask, variant):
@@ -227,10 +251,15 @@ class _Problem:
             rel = frobenius_norm(self.s) / self.m_norm
             self.s *= self.w
             return rel
-        resid = np.einsum("ij,ij->i", x.take(self.rows, 0),
-                          y.take(self.cols, 0))
-        resid -= self.m_obs
-        np.divide(resid, self.div, out=self.s_vals)
+        r = x.shape[1]
+        step = max(8, RESIDUAL_BLOCK_BYTES // (64 * r) * 8)
+        ones = np.ones(r)
+        for lo in range(0, self.s_vals.size, step):
+            block = x.take(self.rows[lo:lo + step], 0)
+            block *= y.take(self.cols[lo:lo + step], 0)
+            np.matmul(block, ones, out=self.s_vals[lo:lo + step])
+        self.s_vals -= self.m_obs
+        self.s_vals /= self.div
         r_a = np.linalg.qr(np.hstack((x, self.a_star)), mode="r")
         b = np.hstack((y, self.b_star))
         return frobenius_norm(b @ r_a.T) / self.m_norm

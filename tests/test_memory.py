@@ -1,7 +1,8 @@
 """Traced peak memory of the large-problem path and of the theory checker.
 
 These tests are the peak-memory gate CI relies on; each bound is one
-d1 x d2 float64 matrix, or one DIST_CHUNK slice for the checker.
+d1 x d2 float64 matrix, one DIST_CHUNK slice for the checker, or a few
+residual blocks for a CSR load.
 
 Above DENSE_SIZE_LIMIT entries d1 * d2 the library works on the observed
 cells, so no call may hold a transient d1 x d2 float64 matrix on top of
@@ -10,6 +11,9 @@ spectral starts, the problem's set-up and the solve. The target m_star is
 given both C-ordered and F-ordered, since a relabelled or transposed
 target is F-ordered and reading it must not copy it. The starts follow
 that one rule at any shape, a square one with no side above 512 included.
+
+A CSR load forms the residual in blocks of RESIDUAL_BLOCK_BYTES of
+gathered factor rows, so it holds no |cells| x r array.
 
 hypothesis_check works through a run's records in slices of DIST_CHUNK,
 so its transient memory does not grow with the number of records.
@@ -29,7 +33,8 @@ from lrmc.experiments import gen_ground_truth
 from lrmc.metrics import relative_error
 from lrmc.model import GroundTruth
 from lrmc.sampling import DENSE_SIZE_LIMIT, LooSelector, sample_mask
-from lrmc.solvers import DIST_CHUNK, SolverConfig, SolverVariant, _Problem, run
+from lrmc.solvers import (DIST_CHUNK, RESIDUAL_BLOCK_BYTES, SolverConfig,
+                          SolverVariant, _Problem, run)
 from lrmc.spectral import loo_init, spectral_init
 
 D1, D2, R, P = 1200, 1100, 3, 0.03
@@ -92,6 +97,23 @@ CALLS = {
 def test_large_path_holds_no_dense_temporary(instance, call):
     peak = traced_peak(lambda: CALLS[call](*instance))
     assert peak < MATRIX, f"{call}: {peak / MATRIX:.2f} d1 x d2 matrices"
+
+
+@pytest.mark.parametrize("variant", [SolverVariant.vanilla(),
+                                     SolverVariant.leave_one_out(4)],
+                         ids=["vanilla", "leave_one_out"])
+def test_csr_load_holds_no_cells_by_rank_temporary(instance, variant):
+    # A load holds at most the two gathers of one block, or the QR's input
+    # [X, -U* S*] with [Y, V*] and its copies. Gathering every cell's rows
+    # at once held two |cells| x r arrays: 2.2 MB here, against this bound
+    # of 0.9 MB and 0.96 MB for one |cells| x r array.
+    gt, mask, f0 = instance
+    problem = _Problem(gt, mask, variant)
+    assert not problem.dense
+    peak = traced_peak(lambda: problem.load(f0.x, f0.y))
+    bound = 3 * RESIDUAL_BLOCK_BYTES + (D1 + D2) * 2 * R * 8
+    assert bound < mask.n_cells * R * 8
+    assert peak < bound, f"{peak / bound:.2f} of the bound"
 
 
 def test_target_draw_transient_is_under_one_matrix():

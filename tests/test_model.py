@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lrmc.experiments import gen_ground_truth
-from lrmc.model import _CHECK_BLOCK, GroundTruth
+from lrmc.model import _CHECK_BLOCK, FactorPair, GroundTruth
 
 # Rows of the check's blocks: 500 rows of 300 make two full blocks and a
 # short third one.
@@ -64,3 +64,18 @@ def test_ground_truth_rejects_wrong_shape(gt):
     for m in (gt.m_star[:-1], gt.m_star[:, :1], gt.m_star.T):
         with pytest.raises(ValueError, match="factorization"):
             _with_m_star(gt, m)
+
+
+def test_factor_pairs_and_targets_compare_equal_by_their_fields(gt):
+    pair = gt.optimal_pair()
+    assert (pair == gt.optimal_pair()) is True
+    assert (pair != gt.optimal_pair()) is False
+    assert (pair == FactorPair(pair.x, -pair.y)) is False
+    assert (pair == FactorPair(pair.x[:, :2], pair.y[:, :2])) is False
+    assert (gt == _with_m_star(gt, gt.m_star.copy())) is True
+    assert (gt == _with_m_star(gt, np.asfortranarray(gt.m_star))) is True
+    other = GroundTruth(u_star=gt.u_star, sigma_star=gt.sigma_star,
+                        v_star=gt.v_star, m_star=gt.m_star, kappa=gt.kappa,
+                        mu=gt.mu + 1.0)
+    assert (gt == other) is False and (gt != other) is True
+    assert (gt == pair) is False

@@ -146,6 +146,43 @@ def test_constructor_checks_cells_as_from_cells(rows, cols, message):
             make(3, 3, 0.5, rows=rows, cols=cols, seed=None)
 
 
+@pytest.mark.parametrize("rows, cols, name", [
+    ([0.7, 2.9], [1.2, 0.5], "rows"),  # was truncated to (0, 1) and (2, 0)
+    ([0, 2], [1.2, 0.5], "cols"),
+    ([True], [0], "rows"),  # booleans were read as 0 and 1
+    ([0], [False], "cols"),
+    ([np.nan], [0], "rows"),  # was numpy's "cannot convert float NaN"
+    ([0], [np.nan], "cols"),
+    ([[0]], [[1]], "rows"),  # was "object too deep for desired array"
+    ([0], [[1]], "cols"),
+    (0, [1], "rows")])
+def test_cell_coordinates_must_be_one_dimensional_integers(rows, cols, name):
+    for make in (ObservationMask, ObservationMask.from_cells):
+        with pytest.raises(ValueError, match=f"^{name} must be a 1-D array "
+                                             "of integers, got"):
+            make(3, 3, 0.5, rows=rows, cols=cols, seed=None)
+
+
+def test_cell_coordinates_of_any_integer_dtype_are_accepted():
+    mask = ObservationMask.from_cells(3, 3, 0.5, np.array([2, 0], np.uint8),
+                                      np.array([1, 2], np.int32))
+    assert mask.rows.dtype == mask.cols.dtype == np.int64
+    assert mask.rows.tolist() == [0, 2] and mask.cols.tolist() == [2, 1]
+    assert ObservationMask.from_cells(3, 3, 0.5, [], []).n_cells == 0
+
+
+def test_masks_compare_equal_by_their_fields():
+    mask = sample_mask(4, 3, 0.5, 1)
+    assert (mask == sample_mask(4, 3, 0.5, 1)) is True
+    assert (mask != sample_mask(4, 3, 0.5, 1)) is False
+    for other in (sample_mask(4, 3, 0.5, 2), dataclasses.replace(mask, p=0.6),
+                  dataclasses.replace(mask, seed=None),
+                  dataclasses.replace(mask, rows=mask.rows[1:],
+                                      cols=mask.cols[1:])):
+        assert (mask == other) is False and (mask != other) is True
+    assert (mask == "mask") is False
+
+
 @pytest.mark.parametrize("seed, error, message", [
     (1.5, TypeError, "an integer"), (True, TypeError, "an integer"),
     ("3", TypeError, "an integer"), (-1, ValueError, "an integer >= 0"),

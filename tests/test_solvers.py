@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -739,3 +742,98 @@ def test_run_builds_factor_pairs_only_at_the_boundaries(layout, store,
         assert res.status == "max_iters" and len(res.trace.k) == 2
         counts.append(len(built))
     assert counts[0] == counts[1] <= 4
+
+
+# The CSR residual is formed in blocks of cells (solvers.RESIDUAL_BLOCK_BYTES
+# of gathered factor rows). BLOCK_INSTANCE is above DENSE_SIZE_LIMIT, and
+# its 72,000 or so cells fill several default blocks at each rank below.
+# No cell count of BLOCK_VARIANTS is a multiple of 8, so every block size
+# leaves a ragged last block. The iterate's rank, which sizes the blocks,
+# need not be the target's.
+BLOCK_INSTANCE = """
+import numpy as np
+from lrmc.experiments import gen_ground_truth
+from lrmc.model import FactorPair
+from lrmc.sampling import sample_mask
+gt = gen_ground_truth(600, 400, 5, 2.0, seed=11)
+mask = sample_mask(600, 400, 0.3, seed=13)
+
+def block_pair(r):
+    rng = np.random.default_rng(r)
+    return FactorPair(rng.standard_normal((600, r)),
+                      rng.standard_normal((400, r)))
+"""
+BLOCK_RANKS = [1, 5, 20]
+BLOCK_VARIANTS = [SolverVariant.vanilla(), SolverVariant.leave_one_out(7),
+                  SolverVariant.leave_one_out(609)]
+
+
+@pytest.fixture(scope="module")
+def block_instance():
+    space = {}
+    exec(BLOCK_INSTANCE, space)
+    assert 600 * 400 > sampling.DENSE_SIZE_LIMIT
+    return space["gt"], space["mask"], space["block_pair"]
+
+
+def _csr_load(gt, mask, variant, f):
+    """(S.data, relative error) of one CSR load."""
+    problem = solvers._Problem(gt, mask, variant)
+    assert not problem.dense
+    rel = problem.load(f.x, f.y)
+    return problem.s.data.copy(), rel
+
+
+@pytest.mark.parametrize("r", BLOCK_RANKS)
+@pytest.mark.parametrize("variant", BLOCK_VARIANTS, ids=_variant_id)
+def test_csr_residual_does_not_depend_on_the_block_size(block_instance, r,
+                                                        variant, monkeypatch):
+    gt, mask, block_pair = block_instance
+    f = block_pair(r)
+    want, want_rel = _csr_load(gt, mask, variant, f)
+    assert want.size * r * 8 > 2 * solvers.RESIDUAL_BLOCK_BYTES
+    for cells in (8, 24, 1000):
+        assert want.size % cells  # the last block is ragged
+        monkeypatch.setattr(solvers, "RESIDUAL_BLOCK_BYTES", 8 * r * cells)
+        got, rel = _csr_load(gt, mask, variant, f)
+        assert got.tobytes() == want.tobytes() and rel == want_rel
+
+
+@pytest.mark.parametrize("r", BLOCK_RANKS)
+@pytest.mark.parametrize("variant", BLOCK_VARIANTS, ids=_variant_id)
+def test_csr_residual_matches_dense_oracle(block_instance, r, variant):
+    gt, mask, block_pair = block_instance
+    f = block_pair(r)
+    got, rel = _csr_load(gt, mask, variant, f)
+    cells, div = mask, mask.p
+    if variant.sel is not None:
+        cells, div = loo_cells(mask, variant.sel)
+    resid = f.x @ f.y.T - gt.m_star
+    want = resid[cells.rows, cells.cols] / div
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-13 * np.abs(want).max())
+    assert rel == pytest.approx(
+        frobenius_norm(resid) / frobenius_norm(gt.m_star), rel=1e-10)
+
+
+def test_csr_residual_does_not_depend_on_the_blas_thread_count():
+    # The same loads in two fresh processes, at 1 and 2 OpenBLAS threads,
+    # each printing a digest of the bytes of S's data.
+    code = BLOCK_INSTANCE + f"""
+import hashlib
+from lrmc.solvers import SolverVariant, _Problem
+for r in {BLOCK_RANKS!r}:
+    for variant in (SolverVariant.vanilla(), SolverVariant.leave_one_out(7)):
+        problem = _Problem(gt, mask, variant)
+        f = block_pair(r)
+        problem.load(f.x, f.y)
+        print(hashlib.sha256(problem.s.data.tobytes()).hexdigest())
+"""
+    src = os.path.dirname(os.path.dirname(solvers.__file__))
+    out = [subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src,
+                                   OPENBLAS_NUM_THREADS=threads)).stdout
+           for threads in ("1", "2")]
+    assert out[0].count("\n") == 2 * len(BLOCK_RANKS)
+    assert out[0] == out[1]
