@@ -6,9 +6,10 @@ their leave-one-out companion sequences, the drift of the norm-imbalance
 term, and sampling-concentration spot checks. The unspecified constants of
 the theory are set to 1, so reports carry slack values rather than
 pass/fail theorem claims. The induction bounds are evaluated over a run's
-records in slices of DIST_CHUNK, each slice's iterates aligned in stacked
-calls, so the checker's working set is one slice, however many records the
-run holds.
+records in slices of SLICE_BYTES of stored factors (at least one record),
+each slice's iterates aligned in stacked calls, so the checker's working
+set is a few slices, however many records the run holds and whatever their
+size.
 """
 
 import math
@@ -21,7 +22,7 @@ from .linalg import frobenius_norm, spectral_norm
 from .metrics import _align_stack, _procrustes
 from .model import _check_int
 from .sampling import LooSelector, project
-from .solvers import DIST_CHUNK, SolverVariant, run
+from .solvers import SolverVariant, run
 from .spectral import loo_init
 
 __all__ = [
@@ -40,6 +41,13 @@ __all__ = [
 
 BALANCING_DRIFT_FACTOR = 7400.0
 CONTRACTION_DENOMINATOR = 100.0
+# hypothesis_check takes a run's records this many bytes of stored factors
+# [X; Y] at a time (_slice_len); it holds about five copies of a slice. At
+# the benchmark's theory instance, 300x200, r=4, that is 16 records: the
+# check took 27.8 ms there, against 26.7 ms in slices of 32 and 31.9 ms in
+# slices of 8 (shared 2-vCPU Xeon, 1 BLAS thread, medians of 25
+# interleaved calls), and its traced transient fell from 2.59 to 1.31 MB.
+SLICE_BYTES = 1 << 18
 
 
 @dataclass
@@ -178,11 +186,9 @@ class HypothesisReport:
         return [r for r in self.rows if r.clause == clause]
 
     def to_csv(self, path):
-        header = ["k", "clause", "lhs", "rhs", "slack", "satisfied"]
-        _write_csv(path, header, (
-            dict(zip(header, (r.k, r.clause, repr(r.lhs), repr(r.rhs),
-                              repr(r.slack), int(r.satisfied))))
-            for r in self.rows))
+        _write_csv(path, ["k", "clause", "lhs", "rhs", "slack", "satisfied"],
+                   ((r.k, r.clause, repr(r.lhs), repr(r.rhs), repr(r.slack),
+                     int(r.satisfied)) for r in self.rows))
 
 
 def _bounds(gt, s, p):
@@ -209,20 +215,22 @@ def _loo_bounds(loo, ks, target, f_star):
     which every leave-one-out run also recorded, given the aligned main
     iterates F O at them as a (K, d1+d2, r) stack.
 
-    For every selector l, its iterates at ks are Procrustes-aligned in two
-    stacked calls: to F* for (b), the row l of F_l O_l - F*, and to F O for
-    (c), ||F O - F_l R_l||_F. Each bound is the maximum over the family, nan
+    For every selector l, its iterates at ks are filled into one stack,
+    which the family shares, and Procrustes-aligned in two stacked calls: to
+    F* for (b), the row l of F_l O_l - F*, and to F O for (c),
+    ||F O - F_l R_l||_F. Each bound is the maximum over the family, nan
     kept.
     """
     if not ks:
         return {}, {}
     d1, star = f_star.x.shape[0], f_star.stacked()
     lhs_b = lhs_c = np.zeros(len(ks))
+    stacked_l = np.empty(target.shape)
+    x_l, y_l = stacked_l[:, :d1], stacked_l[:, d1:]
     for sel in loo.selectors:
         res = loo.results[sel.l]
-        f_l = [res.factors[i] for i in np.searchsorted(res.trace.k, ks)]
-        stacked_l = np.stack([f.stacked() for f in f_l])
-        x_l, y_l = stacked_l[:, :d1], stacked_l[:, d1:]
+        _fill([res.factors[i] for i in np.searchsorted(res.trace.k, ks)],
+              x_l, y_l)
         o_l = _procrustes(x_l, y_l, f_star.x, f_star.y)[0]
         r_l = _procrustes(x_l, y_l, target[:, :d1], target[:, d1:])[0]
         rows = (stacked_l @ o_l)[:, sel.l - 1] - star[sel.l - 1]
@@ -232,18 +240,34 @@ def _loo_bounds(loo, ks, target, f_star):
     return dict(zip(ks, lhs_b)), dict(zip(ks, lhs_c))
 
 
+def _slice_len(d1, d2, r):
+    """Records in one of hypothesis_check's slices: SLICE_BYTES of stored
+    float64 factors [X; Y], and at least one record."""
+    return max(1, SLICE_BYTES // ((d1 + d2) * r * 8))
+
+
+def _fill(factors, x, y):
+    """Copy each stored pair's X and Y into the stacks x (K, d1, r) and y
+    (K, d2, r), in place."""
+    for i, f in enumerate(factors):
+        x[i], y[i] = f.x, f.y
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def hypothesis_check(main, loo, gt, s, p):
     """Evaluate the five induction bounds along a recorded run.
 
     `main` must be a RunResult with stored factors; `loo` a LooFamily from
     the same instance and stride. The records are taken in slices of
-    DIST_CHUNK. A slice's main iterates are GL- and Procrustes-aligned in
-    one stacked call, whose GL residuals are the distances of clause (d),
-    and the leave-one-out iterates at those of its records that every run
-    of the family recorded in two per selector. Clause (d) decays from the
-    first record's distance. Each alignment of a stack treats its items
-    independently, so the rows do not depend on the slice size.
+    SLICE_BYTES of stored factors (`_slice_len` records, at least one), so
+    the check's memory grows with neither the run's length nor d1, d2 or r;
+    each slice's stack is filled once from the stored factors. A slice's
+    main iterates are GL- and Procrustes-aligned in one stacked call, whose
+    GL residuals are the distances of clause (d), and the leave-one-out
+    iterates at those of its records that every run of the family recorded
+    in two per selector. Clause (d) decays from the first record's
+    distance. Each alignment of a stack treats its items independently, so
+    the rows do not depend on the slice size.
     Rows whose alignment fails, or whose left-hand side is not finite (a
     diverged run overflows), are marked unevaluable rather than failed. A
     satisfied row is flagged vacuous when its bound exceeds the trivial
@@ -268,14 +292,15 @@ def hypothesis_check(main, loo, gt, s, p):
             satisfied=bool(finite and satisfied),
             evaluable=bool(finite and evaluable), vacuous=bool(vacuous)))
 
-    for start in range(0, len(main.factors), DIST_CHUNK):
-        ks = main.trace.k[start:start + DIST_CHUNK]
-        stacked = np.stack([f.stacked()
-                            for f in main.factors[start:start + DIST_CHUNK]])
-        q, o, gl_res, gl_converged = _align_stack(
-            stacked[:, :gt.d1], stacked[:, gt.d1:], f_star)
+    step = _slice_len(gt.d1, gt.d2, f_star.r)
+    for start in range(0, len(main.factors), step):
+        ks = main.trace.k[start:start + step]
+        stacked = np.empty((len(ks), gt.d1 + gt.d2, f_star.r))
+        x, y = stacked[:, :gt.d1], stacked[:, gt.d1:]
+        _fill(main.factors[start:start + step], x, y)
+        q, o, gl_res, gl_converged = _align_stack(x, y, f_star)
         aligned = stacked @ o
-        del stacked  # from here only the aligned iterates are needed
+        del stacked, x, y  # from here only the aligned iterates are needed
         if start == 0:
             dist0 = gl_res[0]
         shared = [i for i, k in enumerate(ks) if k in common]

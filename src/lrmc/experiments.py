@@ -12,6 +12,7 @@ import time
 import warnings
 from dataclasses import dataclass, asdict, fields
 from functools import partial
+from operator import itemgetter
 
 import numpy as np
 
@@ -196,9 +197,9 @@ def run_convergence(spec, csv_path=None, compute_dist=True, record_every=1):
                     "status": res.status,
                 })
     if csv_path is not None:
-        _write_csv(csv_path,
-                   ["algorithm", "lambda", "k", "rel_err", "dist",
-                    "balancing", "seconds", "status"], rows)
+        header = ["algorithm", "lambda", "k", "rel_err", "dist", "balancing",
+                  "seconds", "status"]
+        _write_csv(csv_path, header, map(itemgetter(*header), rows))
     return rows
 
 
@@ -308,22 +309,15 @@ def run_phase(spec, csv_path=None, contour_csv_path=None):
     grid = PhaseGrid(p_values=tuple(spec.p_grid), r_values=tuple(spec.r_grid),
                      trials=spec.trials, successes=successes, errors=errors)
     if csv_path is not None:
-        rows = []
-        for ri, r in enumerate(grid.r_values):
-            for pi, p in enumerate(grid.p_values):
-                rows.append({"p": repr(float(p)), "r": r,
-                             "trials": grid.trials,
-                             "successes": int(successes[ri, pi]),
-                             "rate": repr(int(successes[ri, pi])
-                                          / grid.trials)})
-        _write_csv(csv_path, ["p", "r", "trials", "successes", "rate"], rows)
+        _write_csv(csv_path, ["p", "r", "trials", "successes", "rate"], (
+            (repr(float(p)), r, grid.trials, int(successes[ri, pi]),
+             repr(int(successes[ri, pi]) / grid.trials))
+            for ri, r in enumerate(grid.r_values)
+            for pi, p in enumerate(grid.p_values)))
     if contour_csv_path is not None:
-        rows = []
-        for r, p_cross, clipped in extract_contour(grid):
-            rows.append({"r": r,
-                         "p_cross": "" if p_cross is None else repr(p_cross),
-                         "clipped": int(clipped)})
-        _write_csv(contour_csv_path, ["r", "p_cross", "clipped"], rows)
+        _write_csv(contour_csv_path, ["r", "p_cross", "clipped"], (
+            (r, "" if p_cross is None else repr(p_cross), int(clipped))
+            for r, p_cross, clipped in extract_contour(grid)))
     return grid
 
 
@@ -385,16 +379,18 @@ def run_timing(spec, csv_path=None):
                "n_error": sum(t.status == "error" for t in trials)}
         rows.append(row)
     if csv_path is not None:
-        _write_csv(csv_path, ["d1", "d2", "r", "p", "kappa", "algorithm",
-                              "n_ok", "n_fail", "mean_s", "median_s",
-                              "n_error"], rows)
+        header = ["d1", "d2", "r", "p", "kappa", "algorithm", "n_ok",
+                  "n_fail", "mean_s", "median_s", "n_error"]
+        _write_csv(csv_path, header, map(itemgetter(*header), rows))
     return rows
 
 
 def _write_csv(path, header, rows):
+    """Write the header line, then one line per row, each a sequence of
+    values in header order."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=header)
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(header)
         writer.writerows(rows)
 
 

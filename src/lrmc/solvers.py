@@ -70,8 +70,7 @@ DIVERGENCE_REL_ERR = 1e6
 # one stacked call (metrics._align_stack). On the 160x100 r=5 headline runs
 # (1 BLAS thread, medians of 30 interleaved passes, two runs) chunks of 32,
 # 64 and 128 align BGD's 787 iterates in 102-108, 91-94 and 85-89 ms, and
-# VGD's in 117-121 ms at each size. 32 stays because it also sets the size
-# of diagnostics.hypothesis_check's slices, which bounds its memory.
+# VGD's in 117-121 ms at each size.
 DIST_CHUNK = 32
 # The CSR residual is formed this many bytes of gathered factor rows at a
 # time (module docstring): for an iterate of rank r, a block holds

@@ -269,19 +269,25 @@ def nine_record_run():
 @pytest.mark.parametrize("records", [1, 3, 4, 5, 9])
 def test_hypothesis_slices_match_all_records_at_once(nine_record_run,
                                                       records, monkeypatch):
-    # Slices of 4 records: 1, chunk - 1, chunk, chunk + 1 and 2 chunk + 1
-    # records. At 9 records the second slice is partly, and the third
-    # wholly, past the family's last record, so without (b) and (c).
-    monkeypatch.setattr(diagnostics, "DIST_CHUNK", 4)
+    # Byte budgets that give slices of 1 record (a budget below one record
+    # still takes one), of 4 and of the whole run. With slices of 4 the runs
+    # hold 1, slice - 1, slice, slice + 1 and 2 slice + 1 records; at 9
+    # records the second slice is partly, and the third wholly, past the
+    # family's last record, so without (b) and (c).
     gt, main, loo = nine_record_run
     trace = IterateTrace(**{f.name: getattr(main.trace, f.name)[:records]
                             for f in dataclasses.fields(main.trace)})
     main = dataclasses.replace(main, trace=trace,
                                factors=main.factors[:records])
-    rep = hypothesis_check(main, loo, gt, s=0.5, p=0.5)
     expected = _hypothesis_rows_all_at_once(main, loo, gt, s=0.5, p=0.5)
-    assert _exact(rep.rows) == _exact(expected)
-    assert len(rep.clause_rows("b")) == min(records, 6)
+    record = (30 + 20) * 3 * 8  # bytes of one stored [X; Y]
+    for budget, slice_len in ((record // 2, 1), (5 * record - 1, 4),
+                              (9 * record, 9)):
+        monkeypatch.setattr(diagnostics, "SLICE_BYTES", budget)
+        assert diagnostics._slice_len(30, 20, 3) == slice_len
+        rep = hypothesis_check(main, loo, gt, s=0.5, p=0.5)
+        assert _exact(rep.rows) == _exact(expected), slice_len
+        assert len(rep.clause_rows("b")) == min(records, 6)
 
 
 def test_hypothesis_csv_roundtrip(small_theory_run, tmp_path):

@@ -8,10 +8,14 @@ import numpy as np
 import pytest
 
 from lrmc import experiments
+from lrmc.diagnostics import (default_selectors, hypothesis_check,
+                              run_loo_family)
 from lrmc.experiments import (ExperimentSpec, PhaseGrid, derive_seed,
                               extract_contour, gen_ground_truth,
                               run_convergence, run_phase, run_timing,
                               write_summary)
+from lrmc.sampling import sample_mask
+from lrmc.solvers import SolverConfig, SolverVariant, run
 from lrmc.spectral import spectral_init
 from lrmc.svgplot import plot_csv
 
@@ -315,6 +319,80 @@ def test_run_timing_rows(tmp_path):
         assert r["n_ok"] + r["n_fail"] == 2
         if r["n_ok"]:
             assert float(r["mean_s"]) > 0.0
+
+
+def _dict_writer_csv(path, header, rows):
+    """The oracle of _write_csv: the same rows, as dicts, written by
+    csv.DictWriter."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=header)
+        writer.writeheader()
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+def test_csv_files_match_a_dict_writer_oracle(tmp_path):
+    # Each result CSV is written by csv.writer from rows in header order;
+    # its bytes are those csv.DictWriter writes from the rows as dicts.
+    out, oracle = tmp_path / "out", tmp_path / "oracle"
+    out.mkdir()
+    oracle.mkdir()
+    expected = {}
+
+    spec = ExperimentSpec(algorithms=("VGD", "RGD"), **SMALL)
+    rows = run_convergence(spec, csv_path=out / "convergence.csv",
+                           record_every=20)
+    expected["convergence.csv"] = _dict_writer_csv(
+        oracle / "convergence.csv",
+        ["algorithm", "lambda", "k", "rel_err", "dist", "balancing",
+         "seconds", "status"], rows)
+
+    spec = ExperimentSpec(d1=20, d2=16, r=2, kappa=1.0, step=0.5, trials=2,
+                          master_seed=0, max_iters=600, p_grid=(0.2, 1.0),
+                          r_grid=(2, 6), algorithms=("VGD",))
+    grid = run_phase(spec, csv_path=out / "phase.csv",
+                     contour_csv_path=out / "contour.csv")
+    expected["phase.csv"] = _dict_writer_csv(
+        oracle / "phase.csv", ["p", "r", "trials", "successes", "rate"],
+        [{"p": repr(float(p)), "r": r, "trials": grid.trials,
+          "successes": int(grid.successes[ri, pi]),
+          "rate": repr(int(grid.successes[ri, pi]) / grid.trials)}
+         for ri, r in enumerate(grid.r_values)
+         for pi, p in enumerate(grid.p_values)])
+    expected["contour.csv"] = _dict_writer_csv(
+        oracle / "contour.csv", ["r", "p_cross", "clipped"],
+        [{"r": r, "p_cross": "" if p_cross is None else repr(p_cross),
+          "clipped": int(clipped)}
+         for r, p_cross, clipped in extract_contour(grid)])
+
+    spec = ExperimentSpec(d1=30, d2=24, r=2, p=0.6, step=0.5,
+                          lambdas=(1e-10,), trials=2, master_seed=0,
+                          max_iters=2000, algorithms=("VGD", "RGD"))
+    rows = run_timing(spec, csv_path=out / "timing.csv")
+    expected["timing.csv"] = _dict_writer_csv(
+        oracle / "timing.csv",
+        ["d1", "d2", "r", "p", "kappa", "algorithm", "n_ok", "n_fail",
+         "mean_s", "median_s", "n_error"], rows)
+
+    gt = gen_ground_truth(30, 20, 3, 1.0, seed=0)
+    mask = sample_mask(30, 20, 0.5, seed=1)
+    cfg = SolverConfig(variant=SolverVariant.vanilla(), step=0.5,
+                       max_iters=250, tol=1e-13, record_every=50,
+                       store_factors=True)
+    main = run(gt, mask, cfg, spectral_init(gt, mask, 3))
+    loo = run_loo_family(gt, mask, cfg, default_selectors(30, 20, 2, 2))
+    report = hypothesis_check(main, loo, gt, s=0.5, p=0.5)
+    report.to_csv(out / "hypothesis.csv")
+    header = ["k", "clause", "lhs", "rhs", "slack", "satisfied"]
+    expected["hypothesis.csv"] = _dict_writer_csv(
+        oracle / "hypothesis.csv", header,
+        [dict(zip(header, (r.k, r.clause, repr(r.lhs), repr(r.rhs),
+                           repr(r.slack), int(r.satisfied))))
+         for r in report.rows])
+
+    for name, data in expected.items():
+        assert (out / name).read_bytes() == data, name
+        assert data.count(b"\r\n") > 1, name
 
 
 def test_run_timing_writes_a_numpy_rate_as_a_number():

@@ -1,8 +1,9 @@
 """Traced peak memory of the large-problem path and of the theory checker.
 
 These tests are the peak-memory gate CI relies on; each bound is one
-d1 x d2 float64 matrix, one DIST_CHUNK slice for the checker, or a few
-residual blocks for a CSR load.
+d1 x d2 float64 matrix, a few residual blocks for a CSR load, or, for the
+theory checker, one slice of records or a fixed multiple of its byte
+budget.
 
 Above DENSE_SIZE_LIMIT entries d1 * d2 the library works on the observed
 cells, so no call may hold a transient d1 x d2 float64 matrix on top of
@@ -15,8 +16,9 @@ that one rule at any shape, a square one with no side above 512 included.
 A CSR load forms the residual in blocks of RESIDUAL_BLOCK_BYTES of
 gathered factor rows, so it holds no |cells| x r array.
 
-hypothesis_check works through a run's records in slices of DIST_CHUNK,
-so its transient memory does not grow with the number of records.
+hypothesis_check works through a run's records in slices of SLICE_BYTES
+of stored factors (at least one record), so its transient memory grows
+with neither the number of records nor their size, d1, d2 and r.
 
 Up to DENSE_SIZE_LIMIT a bound problem keeps two d1 x d2 float64
 matrices: the weights W and the one working matrix S.
@@ -27,14 +29,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lrmc.diagnostics import (default_selectors, hypothesis_check,
-                              run_loo_family)
+from lrmc import diagnostics
+from lrmc.diagnostics import (SLICE_BYTES, _slice_len, default_selectors,
+                              hypothesis_check, run_loo_family)
 from lrmc.experiments import gen_ground_truth
 from lrmc.metrics import relative_error
 from lrmc.model import GroundTruth
 from lrmc.sampling import DENSE_SIZE_LIMIT, LooSelector, sample_mask
-from lrmc.solvers import (DIST_CHUNK, RESIDUAL_BLOCK_BYTES, SolverConfig,
-                          SolverVariant, _Problem, run)
+from lrmc.solvers import (RESIDUAL_BLOCK_BYTES, SolverConfig, SolverVariant,
+                          _Problem, run)
 from lrmc.spectral import loo_init, spectral_init
 
 D1, D2, R, P = 1200, 1100, 3, 0.03
@@ -145,13 +148,17 @@ def test_relative_error_holds_one_dense_temporary(instance):
     assert peak < 1.5 * MATRIX, f"{peak / MATRIX:.2f} d1 x d2 matrices"
 
 
-def test_hypothesis_check_transient_is_one_slice():
+def test_hypothesis_check_transient_is_one_slice(monkeypatch):
     # A theory-style instance (kappa = 2) that takes 536 iterations: at
-    # record_every=5 its 109 records fill several slices as well, so the
-    # checker's transient, its peak less the report it keeps, is the same
-    # one-slice working set at both strides. Stacking every record instead
-    # costs about 5 (d1 + d2) r float64 per record.
+    # record_every=5 its 109 records fill several slices of 16 records as
+    # well, so the checker's transient, its peak less the report it keeps,
+    # is the same working set at both strides, to within one slice.
+    # Stacking every record instead costs about 5 (d1 + d2) r float64 per
+    # record. The budget is set to 16 records here: SLICE_BYTES alone gives
+    # 72 at this size, which 109 records would not fill three times.
     d1, d2, r, p = 90, 60, 3, 0.3
+    record = (d1 + d2) * r * 8
+    monkeypatch.setattr(diagnostics, "SLICE_BYTES", 16 * record)
     gt = gen_ground_truth(d1, d2, r, 2.0, seed=3)
     mask = sample_mask(d1, d2, p, seed=4)
     f0 = spectral_init(gt, mask, r)
@@ -161,12 +168,34 @@ def test_hypothesis_check_transient_is_one_slice():
                            tol=1e-13, record_every=every, store_factors=True)
         main = run(gt, mask, cfg, f0)
         loo = run_loo_family(gt, mask, cfg, default_selectors(d1, d2, 2, 2))
-        assert len(main.factors) > 3 * DIST_CHUNK
+        assert len(main.factors) > 3 * _slice_len(d1, d2, r)
         peak, kept = traced(lambda: hypothesis_check(main, loo, gt, 0.5, p))
         transient[every] = peak - kept
-    one_slice = DIST_CHUNK * (d1 + d2) * r * 8
+    one_slice = _slice_len(d1, d2, r) * record
     assert transient[1] - transient[5] <= one_slice, (
         f"{(transient[1] - transient[5]) / one_slice:.1f} slices")
+
+
+@pytest.mark.parametrize("d1, d2, r, p, max_iters",
+                         [(90, 60, 3, 0.3, 5000), (400, 300, 5, 0.2, 60)],
+                         ids=["90x60 r3", "400x300 r5"])
+def test_hypothesis_check_transient_is_bounded_in_bytes(d1, d2, r, p,
+                                                         max_iters):
+    # The checker holds about five copies of a slice, which is at most
+    # SLICE_BYTES or one record, so its transient stays under a fixed
+    # multiple of SLICE_BYTES plus one record whatever the record size. It
+    # read 4.7 times that at both sizes; slices of 32 records read 15.7
+    # times it at 400x300, r = 5.
+    gt = gen_ground_truth(d1, d2, r, 2.0, seed=3)
+    mask = sample_mask(d1, d2, p, seed=4)
+    cfg = SolverConfig(SolverVariant.vanilla(), step=0.5,
+                       max_iters=max_iters, tol=1e-13, store_factors=True)
+    main = run(gt, mask, cfg, spectral_init(gt, mask, r))
+    loo = run_loo_family(gt, mask, cfg, default_selectors(d1, d2, 2, 2))
+    assert len(main.factors) > 3 * _slice_len(d1, d2, r)
+    peak, kept = traced(lambda: hypothesis_check(main, loo, gt, 0.5, p))
+    bound = 6 * (SLICE_BYTES + (d1 + d2) * r * 8)
+    assert peak - kept < bound, f"{(peak - kept) / bound:.2f} of the bound"
 
 
 @pytest.mark.parametrize("variant", [SolverVariant.vanilla(),
