@@ -19,7 +19,7 @@ import numpy as np
 
 from .experiments import _write_csv
 from .linalg import frobenius_norm, spectral_norm
-from .metrics import _align_stack, _procrustes
+from .metrics import _align_stack, _rotation
 from .model import _check_int
 from .sampling import LooSelector, project
 from .solvers import SolverVariant, run
@@ -216,10 +216,11 @@ def _loo_bounds(loo, ks, target, f_star):
     iterates F O at them as a (K, d1+d2, r) stack.
 
     For every selector l, its iterates at ks are filled into one stack,
-    which the family shares, and Procrustes-aligned in two stacked calls: to
-    F* for (b), the row l of F_l O_l - F*, and to F O for (c),
-    ||F O - F_l R_l||_F. Each bound is the maximum over the family, nan
-    kept.
+    which the family shares, and its Procrustes rotations are taken in two
+    stacked calls, which form no residuals: to F* for (b), the row l of
+    F_l O_l - F*, and to F O for (c), ||F O - F_l R_l||_F, whose difference
+    is formed in place of the product. Each bound is the maximum over the
+    family, nan kept.
     """
     if not ks:
         return {}, {}
@@ -231,12 +232,14 @@ def _loo_bounds(loo, ks, target, f_star):
         res = loo.results[sel.l]
         _fill([res.factors[i] for i in np.searchsorted(res.trace.k, ks)],
               x_l, y_l)
-        o_l = _procrustes(x_l, y_l, f_star.x, f_star.y)[0]
-        r_l = _procrustes(x_l, y_l, target[:, :d1], target[:, d1:])[0]
+        o_l = _rotation(x_l, y_l, f_star.x, f_star.y)
+        r_l = _rotation(x_l, y_l, target[:, :d1], target[:, d1:])
         rows = (stacked_l @ o_l)[:, sel.l - 1] - star[sel.l - 1]
         lhs_b = np.maximum(lhs_b, [np.linalg.norm(v) for v in rows])
-        lhs_c = np.maximum(lhs_c, [frobenius_norm(v)
-                                   for v in target - stacked_l @ r_l])
+        diff = stacked_l @ r_l
+        np.subtract(target, diff, out=diff)
+        lhs_c = np.maximum(lhs_c, [frobenius_norm(v) for v in diff])
+        del diff  # not held while the next selector's product is formed
     return dict(zip(ks, lhs_b)), dict(zip(ks, lhs_c))
 
 
@@ -304,8 +307,9 @@ def hypothesis_check(main, loo, gt, s, p):
         if start == 0:
             dist0 = gl_res[0]
         shared = [i for i, k in enumerate(ks) if k in common]
-        lhs_b, lhs_c = _loo_bounds(loo, [ks[i] for i in shared],
-                                   aligned[shared], f_star)
+        lhs_b, lhs_c = _loo_bounds(
+            loo, [ks[i] for i in shared],
+            aligned if len(shared) == len(ks) else aligned[shared], f_star)
 
         for i, k in enumerate(ks):
             # (a) spectral-norm proximity of the aligned iterate.
@@ -330,4 +334,5 @@ def hypothesis_check(main, loo, gt, s, p):
                      if np.isfinite(gl_res[i]) else np.nan)
             add(k, "e", lhs_e, rhs_e, lhs_e <= rhs_e,
                 evaluable=gl_converged[i])
+        del aligned  # not held while the next slice is aligned
     return report

@@ -17,12 +17,18 @@ for leave-one-out's line.
 
 The residual has two storage layouts, those of the observed matrix
 (sampling._observed_matrix), picked once per problem from d1 * d2 alone.
-Up to sampling.DENSE_SIZE_LIMIT entries it is a dense d1 x d2 matrix,
-held in one buffer per problem: X Y.T - M* is formed there, its norm
-gives the relative error, and it is then scaled in place into S, which
-gives the objective and the gradient. Above the limit it lives only on
-the cells, in a CSR matrix, and the relative error comes from numpy's QR
-of the factors; there, forming X Y.T would cost more than it saves.
+Up to sampling.DENSE_SIZE_LIMIT entries it is a dense d1 x d2 matrix S,
+one buffer per problem. The factors are held transposed, in one
+C-contiguous (r* + r) x (d1 + d2) buffer whose top rows are the target's
+fixed [-(U* S*).T | V*.T] and whose bottom rows are the iterate
+[X.T | Y.T], so with A = [-U* S*, X] and B = [V*, Y] one product of inner
+dimension r* + r, A B.T, forms X Y.T - M* in S: M* is never read, and no
+subtraction pass follows. Its norm gives the relative error, and S is
+then scaled in place by the weights W, which gives the objective and the
+gradient; an iteration streams W and S only. Above the limit the residual
+lives only on the cells, in a CSR matrix, and the relative error comes
+from numpy's QR of the factors; there, forming X Y.T would cost more than
+it saves.
 
 The CSR residual is formed in blocks of cells whose gathered factor rows
 take about RESIDUAL_BLOCK_BYTES, so they stay in cache. Per block, the
@@ -36,11 +42,13 @@ starts at a multiple of 8 cells, so each cell is summed the same way at
 any block size, and blocks are too small for OpenBLAS to split a product
 across threads, so S does not depend on the BLAS thread count either.
 
-`run` holds the iterate in one (d1+d2) x r buffer [X; Y] and the gradient
-in a second one, and steps in place, so an iteration allocates no factor
-arrays. A FactorPair is built only at the boundaries: a copy of each
-recorded iterate when factors are stored, the final iterate, and the
-inputs and outputs of the public objective, gradient and step.
+`run` holds the iterate in one buffer, [X.T | Y.T] in the dense layout
+and [X; Y] in the CSR one, and the gradient in a second buffer of the
+same layout (_Problem.buffers), and steps in place, so an iteration
+allocates no factor arrays. A FactorPair is built only at the
+boundaries: a copy of each recorded iterate when factors are stored, the
+final iterate, and the inputs and outputs of the public objective,
+gradient and step.
 """
 
 import time
@@ -82,6 +90,13 @@ DIST_CHUNK = 32
 # OpenBLAS threads changed a product's sums: 480,000 entries did, and
 # 400,000 did not.
 RESIDUAL_BLOCK_BYTES = 1 << 18
+# The dense gradient writes Gx.T = Y.T S.T straight into its rows of the
+# gradient buffer while Gx has at most this many entries d1 * r. Above, it
+# forms S Y from a contiguous copy of Y and copies that in: at 1 BLAS
+# thread (OpenBLAS 0.3.31, d2 = 200, medians of 5 runs) the direct product
+# took 0.55-0.89 of that detour's time at d1 r = 1,200 (600x200 r=2 to
+# 75x200 r=16, 300x200 r=4 included) and 1.05-3.5 times it from 1,240 up.
+GX_DIRECT_ENTRIES = 1200
 
 
 @dataclass(frozen=True)
@@ -185,24 +200,27 @@ class _Problem:
     residual, divided by the divisors on the cells and zero elsewhere, into
     a matrix S; objective and gradient read S alone, the objective as
     (1/2) p <S, S> plus leave-one-out's line term (module docstring) and
-    the data gradient as (S Y, S.T X). `run` loads views of its [X; Y]
-    buffer and has `gradient(gx, gy)` write into views of its gradient
-    buffer, so no FactorPair is built per iterate; the loaded x and y are
-    the attributes a FactorPair has, so balancing_norm reads the problem as
-    the loaded pair. With a fully observed mask the leave-one-out cells are
-    the mask's and every divisor is 1, so it is the balancing problem
-    bitwise.
+    the data gradient as (S Y, S.T X). `buffers` hands out the iterate and
+    gradient buffers in the layout's own order; `run` loads the iterate's
+    views and has `gradient(gx, gy)` write into the gradient's, so no
+    FactorPair is built per iterate. The loaded x and y are the attributes
+    a FactorPair has, so balancing_norm reads the problem as the loaded
+    pair. With a fully observed mask the leave-one-out cells are the
+    mask's and every divisor is 1, so it is the balancing problem bitwise.
 
-    In the dense layout (module docstring) the residual D goes into S, the
-    one preallocated d1 x d2 buffer, and once its norm is taken it is
-    multiplied in place by W, which holds 1/divisor on the cells and 0
-    elsewhere. In the CSR layout the residual is written in place into the
-    data of a CSR matrix S, so the gradient costs O(|cells| r); it is
-    formed block by block (module docstring), so no |cells| x r array is
-    held. There the relative error takes O((d1+d2) r^2): with
-    A = [X, -U* S*] and B = [Y, V*], X Y.T - M* = A B.T, and
-    ||A B.T||_F = ||B R_A.T||_F for the triangular factor R_A of a QR of
-    A.
+    In the dense layout (module docstring) the factors live in `aug`, the
+    target's r* rows on top and the iterate's r rows below, and x and y
+    are transposed views of its bottom rows. The product of its two column
+    blocks writes X Y.T - M* into S, the one preallocated d1 x d2 buffer,
+    and once its norm is taken S is multiplied in place by W, which holds
+    1/divisor on the cells and 0 elsewhere; the gradient is formed
+    transposed, (Y.T S.T, X.T S), into rows of the same layout. In the CSR
+    layout the residual is written in place into the data of a CSR matrix
+    S, so the gradient costs O(|cells| r); it is formed block by block
+    (module docstring), so no |cells| x r array is held. There the relative
+    error takes O((d1+d2) r^2): with A = [X, -U* S*] and B = [Y, V*],
+    X Y.T - M* = A B.T, and ||A B.T||_F = ||B R_A.T||_F for the triangular
+    factor R_A of a QR of A.
     """
 
     def __init__(self, gt, mask, variant):
@@ -210,17 +228,19 @@ class _Problem:
         if variant.tag == "leave_one_out":
             mask, div = loo_cells(mask, variant.sel)
             self.line = np.flatnonzero(div != mask.p)  # in cell order
-        self.p = mask.p
+        self.p, self.d1 = mask.p, mask.d1
         self.m_norm = frobenius_norm(gt.m_star)
         if self.m_norm == 0.0:
             raise ValueError("m_star is zero; relative error undefined")
         self.lam = variant.lam
         self.balanced = variant.tag in ("balancing", "leave_one_out")
+        self.a_star = -(gt.u_star * gt.sigma_star)
+        self.b_star = gt.v_star
+        self.x = self.y = None
         # W, or the CSR matrix S whose data load overwrites.
         observed = _observed_matrix(mask, 1.0 / div)
         self.dense = isinstance(observed, np.ndarray)
         if self.dense:
-            self.m_star = np.ascontiguousarray(gt.m_star, dtype=np.float64)
             self.w = observed
             self.s = np.empty((mask.d1, mask.d2))
             self.s_vals = self.s.reshape(-1)  # a view of s
@@ -233,23 +253,55 @@ class _Problem:
             self.m_obs = gt.m_star[mask.rows, mask.cols]
             self.s = observed
             self.s_vals = self.s.data
-            self.a_star = -(gt.u_star * gt.sigma_star)
-            self.b_star = gt.v_star
         self.st = self.s.T  # shares the storage of self.s
+
+    def buffers(self, x, y):
+        """The buffers `run` steps in place, (z, g, (x, y), (gx, gy)): an
+        iterate buffer z holding a copy of (x, y), with views x and y, and a
+        new gradient buffer g of the same layout, with views gx and gy.
+        Dense: z is the bottom rows [X.T | Y.T] of aug, whose top rows are
+        set to the target's; `load` given these x and y reads them there,
+        with no copy. CSR: z = [X; Y] and g = [Gx; Gy]."""
+        d1 = self.d1
+        if not self.dense:
+            z = np.concatenate((x, y), dtype=np.float64)
+            g = np.empty_like(z)
+            return z, g, (z[:d1], z[d1:]), (g[:d1], g[d1:])
+        r_star, (d2, r) = self.a_star.shape[1], y.shape
+        self.aug = np.empty((r_star + r, d1 + d2))
+        self.aug[:r_star, :d1] = self.a_star.T
+        self.aug[:r_star, d1:] = self.b_star.T
+        self.a, self.bt = self.aug[:, :d1].T, self.aug[:, d1:]
+        self.z = z = self.aug[r_star:]
+        self.g = g = np.empty_like(z)
+        z[:, :d1], z[:, d1:] = x.T, y.T
+        self.xt, self.yt = z[:, :d1], z[:, d1:]
+        self.gxt, self.gyt = g[:, :d1], g[:, d1:]
+        self.x, self.y = self.xt.T, self.yt.T
+        self.gx, self.gy = self.gxt.T, self.gyt.T
+        # The balancing term's signs: + on X's columns, - on Y's.
+        self.sign = np.repeat([1.0, -1.0], (d1, d2))
+        # A contiguous Y and S Y, for a Gx past GX_DIRECT_ENTRIES.
+        self.sy = ((np.empty((d2, r)), np.empty((d1, r)))
+                   if d1 * r > GX_DIRECT_ENTRIES else None)
+        return z, g, (self.x, self.y), (self.gx, self.gy)
 
     def load(self, x, y):
         """Evaluate the residual at (x, y) and return its relative error.
 
-        x and y are held, not copied: objective() and gradient() read the
-        iterate loaded last, so it must not change in between.
+        In the CSR layout x and y are held, not copied: objective() and
+        gradient() read the iterate loaded last, so it must not change in
+        between. In the dense layout they are copied into the problem's
+        iterate buffer, unless they are its own views (`buffers`).
         """
-        self.x, self.y = x, y
         if self.dense:
-            np.matmul(x, y.T, out=self.s)
-            self.s -= self.m_star
+            if x is not self.x or y is not self.y:
+                self.buffers(x, y)
+            np.matmul(self.a, self.bt, out=self.s)
             rel = frobenius_norm(self.s) / self.m_norm
             self.s *= self.w
             return rel
+        self.x, self.y = x, y
         r = x.shape[1]
         step = max(8, RESIDUAL_BLOCK_BYTES // (64 * r) * 8)
         ones = np.ones(r)
@@ -278,24 +330,49 @@ class _Problem:
         return val
 
     def gradient(self, gx, gy):
-        """Write the gradient at the loaded iterate into gx and gy."""
-        x, y = self.x, self.y
-        if self.dense:
-            np.matmul(self.s, y, out=gx)
-            np.matmul(self.st, x, out=gy)
-        else:
+        """Write the gradient at the loaded iterate into gx and gy. In the
+        dense layout it is formed in the gradient buffer of `buffers`, and
+        copied into gx and gy unless they are that buffer's views."""
+        if not self.dense:
+            x, y = self.x, self.y
             gx[...] = self.s @ y
             gy[...] = self.st @ x
+            if self.lam is not None:
+                gx += self.lam * x
+                gy += self.lam * y
+            if self.balanced:
+                b = self._imbalance()
+                gx += x @ b
+                gy -= y @ b
+            return
+        # Transposed, (Y.T S.T, X.T S), each written into its rows of g; past
+        # GX_DIRECT_ENTRIES, S Y is formed from a contiguous Y and copied in.
+        if self.sy:
+            y_copy, sy = self.sy
+            np.copyto(y_copy, self.y)
+            np.matmul(self.s, y_copy, out=sy)
+            np.copyto(self.gxt, sy.T)
+        else:
+            np.matmul(self.yt, self.st, out=self.gxt)
+        np.matmul(self.xt, self.s, out=self.gyt)
         if self.lam is not None:
-            gx += self.lam * x
-            gy += self.lam * y
+            self.g += self.lam * self.z
         if self.balanced:
-            # Scaling b by 0.5 is exact: the terms equal 0.5 * x @ b's.
-            b = x.T @ x
-            b -= y.T @ y
-            b *= 0.5
-            gx += x @ b
-            gy -= y @ b
+            # b is symmetric, so (x @ b).T = b @ x.T: one product for both.
+            u = self._imbalance() @ self.z
+            u *= self.sign
+            self.g += u
+        if gx is not self.gx or gy is not self.gy:
+            gx[...], gy[...] = self.gx, self.gy
+
+    def _imbalance(self):
+        """0.5 (X.T X - Y.T Y) at the loaded iterate. Scaling by 0.5 is
+        exact, so a product with it is half the product with the Gram
+        difference, bit for bit."""
+        b = self.x.T @ self.x
+        b -= self.y.T @ self.y
+        b *= 0.5
+        return b
 
 
 def objective(f, gt, mask, variant):
@@ -310,10 +387,10 @@ def gradient(f, gt, mask, variant):
     """Gradient of the selected objective, as a FactorPair."""
     _check_shapes(f, gt, mask)
     problem = _Problem(gt, mask, variant)
-    problem.load(f.x, f.y)
-    g = FactorPair(np.empty((gt.d1, f.r)), np.empty((gt.d2, f.r)))
-    problem.gradient(g.x, g.y)
-    return g
+    _, _, (x, y), (gx, gy) = problem.buffers(f.x, f.y)
+    problem.load(x, y)
+    problem.gradient(gx, gy)
+    return FactorPair(np.ascontiguousarray(gx), np.ascontiguousarray(gy))
 
 
 def step(f, g, s):
@@ -347,12 +424,9 @@ def run(gt, mask, config, init):
     f_star = gt.optimal_pair()
     trace = IterateTrace()
     factors = [] if config.store_factors else None
-    # The iterate lives in one buffer z = [X; Y], updated in place from the
-    # gradient buffer g = [Gx; Gy]; x, y, gx and gy are views of them.
-    z = np.concatenate((init.x, init.y), dtype=np.float64)
-    g = np.empty_like(z)
-    x, y = z[:gt.d1], z[gt.d1:]
-    gx, gy = g[:gt.d1], g[gt.d1:]
+    # The iterate lives in one buffer z, updated in place from the gradient
+    # buffer g; x, y, gx and gy are views of them.
+    z, g, (x, y), (gx, gy) = problem.buffers(init.x, init.y)
     if config.compute_dist:
         buf_x = np.empty((DIST_CHUNK, gt.d1, init.r))
         buf_y = np.empty((DIST_CHUNK, gt.d2, init.r))
@@ -406,8 +480,10 @@ def run(gt, mask, config, init):
             np.subtract(z, g, out=z)
     seconds = time.perf_counter() - t0
     # The terminal iterate is always recorded, so with stored factors
-    # final is the last of them; otherwise it is the buffer itself.
-    final = factors[-1] if factors else FactorPair(x, y)
+    # final is the last of them; otherwise it is the iterate, copied out of
+    # the dense layout's transposed buffer.
+    final = factors[-1] if factors else FactorPair(np.ascontiguousarray(x),
+                                                   np.ascontiguousarray(y))
     return RunResult(final=final, trace=trace, status=status, iterations=k,
                      factors=factors, seconds_loop=seconds - recording,
                      seconds_record=recording)

@@ -259,7 +259,8 @@ def test_dense_load_matches_two_buffer_reference(variant):
         cells, div = loo_cells(mask, variant.sel)
     w = np.zeros((30, 20))
     w[cells.rows, cells.cols] = 1.0 / div
-    d = f.x @ f.y.T - gt.m_star
+    d = (aug := np.block([[-(gt.u_star * gt.sigma_star).T, gt.v_star.T],
+                          [f.x.T, f.y.T]]))[:, :30].T @ aug[:, 30:]
     s_ref = d * w
     assert rel == frobenius_norm(d) / frobenius_norm(gt.m_star)
     assert problem.s.tobytes() == s_ref.tobytes()
@@ -267,6 +268,52 @@ def test_dense_load_matches_two_buffer_reference(variant):
     data = 0.5 * float(np.vdot(d, s_ref))
     bal = 0.125 * balancing_norm(f) ** 2 if problem.balanced else 0.0
     assert problem.objective() == pytest.approx(data + bal, rel=1e-13)
+
+
+@pytest.mark.parametrize("d1, d2, r", [(80, 60, 10), (160, 100, 5),
+                                       (300, 200, 4), (400, 300, 5)],
+                         ids=lambda v: str(v))
+@pytest.mark.parametrize(
+    "variant", [SolverVariant.vanilla(), SolverVariant.leave_one_out(2)],
+    ids=_variant_id)
+def test_dense_problem_matches_oracle_at_benchmark_sizes(variant, d1, d2, r):
+    # The sizes of the phase, headline and theory instances and a dense one
+    # past GX_DIRECT_ENTRIES, where the gradient forms Gx the other way.
+    # The residual formed from the target's factors is the oracle's
+    # X Y.T - M* to a few ulps of ||M*||_F, the gradient is the oracle's,
+    # and the problem keeps no d1 x d2 array besides W and S: M* is neither
+    # held nor read.
+    gt = gen_ground_truth(d1, d2, r, 2.0, seed=31)
+    mask = sample_mask(d1, d2, 0.3, seed=32)
+    f0 = spectral_init(gt, mask, r)
+    f = FactorPair(2.0 * f0.x, 0.5 * f0.y)  # unbalanced, so b is not 0
+    problem = solvers._Problem(gt, mask, variant)
+    assert problem.dense
+    rel = problem.load(f.x, f.y)
+
+    cells, div = mask, mask.p
+    if variant.sel is not None:
+        cells, div = loo_cells(mask, variant.sel)
+    w = np.zeros((d1, d2))
+    w[cells.rows, cells.cols] = 1.0 / div
+    d = f.x @ f.y.T - gt.m_star
+    ulp = np.finfo(np.float64).eps * frobenius_norm(gt.m_star)
+    assert abs(rel * frobenius_norm(gt.m_star) - frobenius_norm(d)) <= 4 * ulp
+    assert np.all(np.abs(problem.s - d * w) <= 4 * ulp * w)
+    g = FactorPair(np.empty_like(f.x), np.empty_like(f.y))
+    problem.gradient(g.x, g.y)
+    b = 0.5 * (f.x.T @ f.x - f.y.T @ f.y) * problem.balanced
+    for got, want in ((g.x, (d * w) @ f.y + f.x @ b),
+                      (g.y, (d * w).T @ f.x - f.y @ b)):
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
+    arrays = {name: v for name, v in vars(problem).items()
+              if isinstance(v, np.ndarray)}
+    assert {name for name, v in arrays.items() if v.size >= d1 * d2} == {
+        "w", "s", "s_vals", "st"}
+    assert np.shares_memory(problem.s_vals, problem.s)
+    assert np.shares_memory(problem.st, problem.s)
+    assert not any(np.shares_memory(v, gt.m_star) for v in arrays.values())
 
 
 @pytest.mark.parametrize(
