@@ -90,13 +90,6 @@ DIST_CHUNK = 32
 # OpenBLAS threads changed a product's sums: 480,000 entries did, and
 # 400,000 did not.
 RESIDUAL_BLOCK_BYTES = 1 << 18
-# The dense gradient writes Gx.T = Y.T S.T straight into its rows of the
-# gradient buffer while Gx has at most this many entries d1 * r. Above, it
-# forms S Y from a contiguous copy of Y and copies that in: at 1 BLAS
-# thread (OpenBLAS 0.3.31, d2 = 200, medians of 5 runs) the direct product
-# took 0.55-0.89 of that detour's time at d1 r = 1,200 (600x200 r=2 to
-# 75x200 r=16, 300x200 r=4 included) and 1.05-3.5 times it from 1,240 up.
-GX_DIRECT_ENTRIES = 1200
 
 
 @dataclass(frozen=True)
@@ -281,9 +274,6 @@ class _Problem:
         self.gx, self.gy = self.gxt.T, self.gyt.T
         # The balancing term's signs: + on X's columns, - on Y's.
         self.sign = np.repeat([1.0, -1.0], (d1, d2))
-        # A contiguous Y and S Y, for a Gx past GX_DIRECT_ENTRIES.
-        self.sy = ((np.empty((d2, r)), np.empty((d1, r)))
-                   if d1 * r > GX_DIRECT_ENTRIES else None)
         return z, g, (self.x, self.y), (self.gx, self.gy)
 
     def load(self, x, y):
@@ -345,15 +335,8 @@ class _Problem:
                 gx += x @ b
                 gy -= y @ b
             return
-        # Transposed, (Y.T S.T, X.T S), each written into its rows of g; past
-        # GX_DIRECT_ENTRIES, S Y is formed from a contiguous Y and copied in.
-        if self.sy:
-            y_copy, sy = self.sy
-            np.copyto(y_copy, self.y)
-            np.matmul(self.s, y_copy, out=sy)
-            np.copyto(self.gxt, sy.T)
-        else:
-            np.matmul(self.yt, self.st, out=self.gxt)
+        # Transposed, (Y.T S.T, X.T S), each written into its rows of g.
+        np.matmul(self.yt, self.st, out=self.gxt)
         np.matmul(self.xt, self.s, out=self.gyt)
         if self.lam is not None:
             self.g += self.lam * self.z

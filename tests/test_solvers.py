@@ -278,7 +278,7 @@ def test_dense_load_matches_two_buffer_reference(variant):
     ids=_variant_id)
 def test_dense_problem_matches_oracle_at_benchmark_sizes(variant, d1, d2, r):
     # The sizes of the phase, headline and theory instances and a dense one
-    # past GX_DIRECT_ENTRIES, where the gradient forms Gx the other way.
+    # close to sampling.DENSE_SIZE_LIMIT.
     # The residual formed from the target's factors is the oracle's
     # X Y.T - M* to a few ulps of ||M*||_F, the gradient is the oracle's,
     # and the problem keeps no d1 x d2 array besides W and S: M* is neither
