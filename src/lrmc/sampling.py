@@ -38,11 +38,11 @@ _DRAW_BLOCK = 1 << 16
 # Up to this many entries d1 * d2 an observed matrix is dense (read at call
 # time). A vanilla solve's iteration, dense against CSR, at 1 BLAS thread
 # and r=5 (medians of 7 interleaved runs of 200 iterations): at 300x200
-# (6e4 entries) 119 against 158 us at p=0.1 and 120 against 386 us at
-# p=0.3; at 400x300 (1.2e5) 282 against 291 and 277 against 701 us; at
-# 500x400 (2e5) 510 against 435 and 512 against 1249 us. The CSR cost
-# grows with the cells, so at p=0.1 the crossover lies between 1.2e5 and
-# 2e5 entries, and at p=0.3 dense was cheaper at all three sizes.
+# (6e4 entries) 149 against 213 us at p=0.1 and 150 against 449 us at
+# p=0.3; at 400x300 (1.2e5) 315 against 313 and 314 against 784 us; at
+# 500x400 (2e5) 629 against 457 and 585 against 1253 us. The CSR cost
+# grows with the cells, so at p=0.1 the crossover lies near 1.2e5
+# entries, and at p=0.3 dense was cheaper at all three sizes.
 DENSE_SIZE_LIMIT = 1 << 17
 
 
