@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox
 
+from .linalg import _aligned_zeros
 from .model import _check_int, _check_real, _fields_equal, _must
 
 __all__ = [
@@ -37,12 +38,13 @@ __all__ = [
 _DRAW_BLOCK = 1 << 16
 # Up to this many entries d1 * d2 an observed matrix is dense (read at call
 # time). A vanilla solve's iteration, dense against CSR, at 1 BLAS thread
-# and r=5 (medians of 7 interleaved runs of 200 iterations): at 300x200
-# (6e4 entries) 149 against 213 us at p=0.1 and 150 against 449 us at
-# p=0.3; at 400x300 (1.2e5) 315 against 313 and 314 against 784 us; at
-# 500x400 (2e5) 629 against 457 and 585 against 1253 us. The CSR cost
-# grows with the cells, so at p=0.1 the crossover lies near 1.2e5
-# entries, and at p=0.3 dense was cheaper at all three sizes.
+# and r=5 (medians of 7 runs of 200 iterations): at 300x200 (6e4 entries)
+# 110 against 176 us at p=0.1 and 113 against 486 us at p=0.3; at 400x300
+# (1.2e5) 272 against 322 and 275 against 788 us; at 500x400 (2e5) 539
+# against 452 and 482 against 1265 us. The CSR cost grows with the cells,
+# so at p=0.1 the crossover, near 1.2e5 entries before the dense arrays
+# were aligned (dense/CSR 0.96 at 400x300, now 0.87), lies between 1.2e5
+# and 2e5; at p=0.3 dense was cheaper at all three sizes.
 DENSE_SIZE_LIMIT = 1 << 17
 
 
@@ -175,7 +177,7 @@ def _observed_matrix(cells, values):
     value for all, or one per cell), and 0 elsewhere: a dense array when
     it fits dense, a scipy.sparse CSR array otherwise."""
     if _fits_dense(cells.d1, cells.d2):
-        m = np.zeros((cells.d1, cells.d2))
+        m = _aligned_zeros((cells.d1, cells.d2))
         m[cells.rows, cells.cols] = values
         return m
     from scipy.sparse import csr_array  # see the module docstring

@@ -25,10 +25,12 @@ fixed [-(U* S*).T | V*.T] and whose bottom rows are the iterate
 dimension r* + r, A B.T, forms X Y.T - M* in S: M* is never read, and no
 subtraction pass follows. Its norm gives the relative error, and S is
 then scaled in place by the weights W, which gives the objective and the
-gradient; an iteration streams W and S only. Above the limit the residual
-lives only on the cells, in a CSR matrix, and the relative error comes
-from numpy's QR of the factors; there, forming X Y.T would cost more than
-it saves.
+gradient; an iteration streams W and S only. Every dense working array
+starts on a 64-byte boundary (linalg._aligned_zeros), since an iteration's
+speed otherwise depends on where the allocator puts it. Above the limit
+the residual lives only on the cells, in a CSR matrix, and the relative
+error comes from numpy's QR of the factors; there, forming X Y.T would
+cost more than it saves.
 
 The CSR residual is formed in blocks of cells whose gathered factor rows
 take about RESIDUAL_BLOCK_BYTES, so they stay in cache. Per block, the
@@ -57,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import frobenius_norm
+from .linalg import _aligned_zeros, frobenius_norm
 from .metrics import _align_stack, balancing_norm
 from .model import FactorPair, _check_int, _check_real
 from .sampling import LooSelector, _check_dims, _observed_matrix, loo_cells
@@ -235,7 +237,7 @@ class _Problem:
         self.dense = isinstance(observed, np.ndarray)
         if self.dense:
             self.w = observed
-            self.s = np.empty((mask.d1, mask.d2))
+            self.s = _aligned_zeros((mask.d1, mask.d2))
             self.s_vals = self.s.reshape(-1)  # a view of s
             if self.line is not None:  # cell order -> s_vals order
                 self.line = (mask.rows[self.line] * mask.d2
@@ -261,19 +263,23 @@ class _Problem:
             g = np.empty_like(z)
             return z, g, (z[:d1], z[d1:]), (g[:d1], g[d1:])
         r_star, (d2, r) = self.a_star.shape[1], y.shape
-        self.aug = np.empty((r_star + r, d1 + d2))
+        self.aug = _aligned_zeros((r_star + r, d1 + d2))
         self.aug[:r_star, :d1] = self.a_star.T
         self.aug[:r_star, d1:] = self.b_star.T
         self.a, self.bt = self.aug[:, :d1].T, self.aug[:, d1:]
         self.z = z = self.aug[r_star:]
-        self.g = g = np.empty_like(z)
+        self.g = g = _aligned_zeros(z.shape)
         z[:, :d1], z[:, d1:] = x.T, y.T
         self.xt, self.yt = z[:, :d1], z[:, d1:]
         self.gxt, self.gyt = g[:, :d1], g[:, d1:]
         self.x, self.y = self.xt.T, self.yt.T
         self.gx, self.gy = self.gxt.T, self.gyt.T
-        # The balancing term's signs: + on X's columns, - on Y's.
-        self.sign = np.repeat([1.0, -1.0], (d1, d2))
+        if self.balanced:
+            # The balancing term's signs, + on X's columns and - on Y's, and a
+            # buffer for its product.
+            self.sign = _aligned_zeros((d1 + d2,))
+            self.sign[:d1], self.sign[d1:] = 1.0, -1.0
+            self.u = _aligned_zeros(z.shape)
         return z, g, (self.x, self.y), (self.gx, self.gy)
 
     def load(self, x, y):
@@ -342,9 +348,9 @@ class _Problem:
             self.g += self.lam * self.z
         if self.balanced:
             # b is symmetric, so (x @ b).T = b @ x.T: one product for both.
-            u = self._imbalance() @ self.z
-            u *= self.sign
-            self.g += u
+            np.matmul(self._imbalance(), self.z, out=self.u)
+            self.u *= self.sign
+            self.g += self.u
         if gx is not self.gx or gy is not self.gy:
             gx[...], gy[...] = self.gx, self.gy
 

@@ -316,6 +316,27 @@ def test_dense_problem_matches_oracle_at_benchmark_sizes(variant, d1, d2, r):
     assert not any(np.shares_memory(v, gt.m_star) for v in arrays.values())
 
 
+@pytest.mark.parametrize("d1, d2, r", [(80, 60, 10), (160, 100, 5),
+                                       (300, 200, 4)], ids=lambda v: str(v))
+@pytest.mark.parametrize(
+    "variant", [SolverVariant.vanilla(), SolverVariant.balancing(),
+                SolverVariant.leave_one_out(2)], ids=_variant_id)
+def test_dense_working_arrays_start_on_64_byte_boundaries(variant, d1, d2, r):
+    # At the phase, headline and theory sizes. A dense iteration's speed
+    # depends on where its arrays start (linalg._ALIGN); numpy alone puts
+    # a mmapped 300x200 array at +16 bytes.
+    gt = gen_ground_truth(d1, d2, r, 2.0, seed=31)
+    mask = sample_mask(d1, d2, 0.3, seed=32)
+    problem = solvers._Problem(gt, mask, variant)
+    f = _random_pair(np.random.default_rng(33), d1, d2, r)
+    problem.buffers(f.x, f.y)
+    names = ["w", "s", "aug", "g"] + ["sign", "u"] * problem.balanced
+    offsets = {name: getattr(problem, name).ctypes.data % 64
+               for name in names}
+    offsets["observed"] = sampling._observed_matrix(mask, 1.0).ctypes.data % 64
+    assert offsets == dict.fromkeys(offsets, 0)
+
+
 @pytest.mark.parametrize(
     "variant", [SolverVariant.vanilla(), SolverVariant.balancing()],
     ids=_variant_id)
