@@ -44,13 +44,15 @@ starts at a multiple of 8 cells, so each cell is summed the same way at
 any block size, and blocks are too small for OpenBLAS to split a product
 across threads, so S does not depend on the BLAS thread count either.
 
-`run` holds the iterate in one buffer, [X.T | Y.T] in the dense layout
-and [X; Y] in the CSR one, and the gradient in a second buffer of the
-same layout (_Problem.buffers), and steps in place, so an iteration
-allocates no factor arrays. A FactorPair is built only at the
-boundaries: a copy of each recorded iterate when factors are stored, the
-final iterate, and the inputs and outputs of the public objective,
-gradient and step.
+A problem is bound to its iterate: it copies (X, Y) into its own
+r x (d1 + d2) buffer [X.T | Y.T], next to a gradient buffer of the same
+shape (in the CSR layout, transposes of row-major [X; Y] arrays), and
+`run` steps that buffer in place, so an iteration allocates no factor
+arrays. Both layouts add the ridge and imbalance penalties to the data
+gradient by the same code, on those buffers. A FactorPair is built only
+at the boundaries: a copy of each recorded iterate when factors are
+stored, the final iterate, and the inputs and outputs of the public
+objective, gradient and step.
 """
 
 import time
@@ -187,43 +189,44 @@ class RunResult:
 
 
 class _Problem:
-    """The problem (gt, mask, variant) bound once, evaluated per iterate.
+    """The problem (gt, mask, variant) bound once to an iterate (x, y).
 
     The variant's cells and per-cell divisors are fixed at bind time (see
-    the module docstring). One evaluation of an iterate, `load(x, y)`,
-    computes the residual X Y.T - M* and its relative error, and writes the
-    residual, divided by the divisors on the cells and zero elsewhere, into
-    a matrix S; objective and gradient read S alone, the objective as
-    (1/2) p <S, S> plus leave-one-out's line term (module docstring) and
-    the data gradient as (S Y, S.T X). `buffers` hands out the iterate and
-    gradient buffers in the layout's own order; `run` loads the iterate's
-    views and has `gradient(gx, gy)` write into the gradient's, so no
-    FactorPair is built per iterate. The loaded x and y are the attributes
-    a FactorPair has, so balancing_norm reads the problem as the loaded
-    pair. With a fully observed mask the leave-one-out cells are the
-    mask's and every divisor is 1, so it is the balancing problem bitwise.
+    the module docstring), and (x, y) is copied into the iterate buffer z,
+    [X.T | Y.T], next to the gradient buffer g, [Gx.T | Gy.T]; x, y, gx
+    and gy are views of them. `load()` computes the residual X Y.T - M* at
+    z and its relative error, and writes the residual, divided by the
+    divisors on the cells and zero elsewhere, into a matrix S; objective
+    and gradient read S alone, the objective as (1/2) p <S, S> plus
+    leave-one-out's line term (module docstring) and the data gradient as
+    (S Y, S.T X), to which `gradient()` adds, in either layout, the ridge
+    lam z and the balancing term b z, signed + on X's columns and - on
+    Y's. x and y are the attributes a FactorPair has, so balancing_norm
+    reads the problem as its iterate. With a fully observed mask the
+    leave-one-out cells are the mask's and every divisor is 1, so it is
+    the balancing problem bitwise.
 
-    In the dense layout (module docstring) the factors live in `aug`, the
-    target's r* rows on top and the iterate's r rows below, and x and y
-    are transposed views of its bottom rows. The product of its two column
+    In the dense layout (module docstring) z is the bottom rows of `aug`,
+    whose top rows are the target's factors. The product of its two column
     blocks writes X Y.T - M* into S, the one preallocated d1 x d2 buffer,
     and once its norm is taken S is multiplied in place by W, which holds
-    1/divisor on the cells and 0 elsewhere; the gradient is formed
-    transposed, (Y.T S.T, X.T S), into rows of the same layout. In the CSR
-    layout the residual is written in place into the data of a CSR matrix
-    S, so the gradient costs O(|cells| r); it is formed block by block
-    (module docstring), so no |cells| x r array is held. There the relative
-    error takes O((d1+d2) r^2): with A = [X, -U* S*] and B = [Y, V*],
-    X Y.T - M* = A B.T, and ||A B.T||_F = ||B R_A.T||_F for the triangular
-    factor R_A of a QR of A.
+    1/divisor on the cells and 0 elsewhere; the data gradient is formed
+    transposed, (Y.T S.T, X.T S), into g's rows. In the CSR layout z and g
+    are the transposes of row-major [X; Y] and [Gx; Gy], and the residual
+    is written in place into the data of a CSR matrix S, so the gradient
+    costs O(|cells| r); it is formed block by block (module docstring), so
+    no |cells| x r array is held. There the relative error takes
+    O((d1+d2) r^2): with A = [X, -U* S*] and B = [Y, V*], X Y.T - M* =
+    A B.T, and ||A B.T||_F = ||B R_A.T||_F for the triangular factor R_A
+    of a QR of A.
     """
 
-    def __init__(self, gt, mask, variant):
+    def __init__(self, gt, mask, variant, x, y):
         div, self.line = mask.p, None
         if variant.tag == "leave_one_out":
             mask, div = loo_cells(mask, variant.sel)
             self.line = np.flatnonzero(div != mask.p)  # in cell order
-        self.p, self.d1 = mask.p, mask.d1
+        self.p, (d1, d2), r = mask.p, (mask.d1, mask.d2), y.shape[1]
         self.m_norm = frobenius_norm(gt.m_star)
         if self.m_norm == 0.0:
             raise ValueError("m_star is zero; relative error undefined")
@@ -231,47 +234,34 @@ class _Problem:
         self.balanced = variant.tag in ("balancing", "leave_one_out")
         self.a_star = -(gt.u_star * gt.sigma_star)
         self.b_star = gt.v_star
-        self.x = self.y = None
         # W, or the CSR matrix S whose data load overwrites.
         observed = _observed_matrix(mask, 1.0 / div)
         self.dense = isinstance(observed, np.ndarray)
         if self.dense:
             self.w = observed
-            self.s = _aligned_zeros((mask.d1, mask.d2))
+            self.s = _aligned_zeros((d1, d2))
             self.s_vals = self.s.reshape(-1)  # a view of s
             if self.line is not None:  # cell order -> s_vals order
-                self.line = (mask.rows[self.line] * mask.d2
+                self.line = (mask.rows[self.line] * d2
                              + mask.cols[self.line])
+            r_star = self.a_star.shape[1]
+            self.aug = _aligned_zeros((r_star + r, d1 + d2))
+            self.aug[:r_star, :d1] = self.a_star.T
+            self.aug[:r_star, d1:] = self.b_star.T
+            self.a, self.bt = self.aug[:, :d1].T, self.aug[:, d1:]
+            self.z, self.g = self.aug[r_star:], _aligned_zeros((r, d1 + d2))
         else:
             self.div = div
             self.rows, self.cols = mask.rows, mask.cols
             self.m_obs = gt.m_star[mask.rows, mask.cols]
             self.s = observed
             self.s_vals = self.s.data
+            self.z = np.empty((d1 + d2, r)).T
+            self.g = np.empty((d1 + d2, r)).T
         self.st = self.s.T  # shares the storage of self.s
-
-    def buffers(self, x, y):
-        """The buffers `run` steps in place, (z, g, (x, y), (gx, gy)): an
-        iterate buffer z holding a copy of (x, y), with views x and y, and a
-        new gradient buffer g of the same layout, with views gx and gy.
-        Dense: z is the bottom rows [X.T | Y.T] of aug, whose top rows are
-        set to the target's; `load` given these x and y reads them there,
-        with no copy. CSR: z = [X; Y] and g = [Gx; Gy]."""
-        d1 = self.d1
-        if not self.dense:
-            z = np.concatenate((x, y), dtype=np.float64)
-            g = np.empty_like(z)
-            return z, g, (z[:d1], z[d1:]), (g[:d1], g[d1:])
-        r_star, (d2, r) = self.a_star.shape[1], y.shape
-        self.aug = _aligned_zeros((r_star + r, d1 + d2))
-        self.aug[:r_star, :d1] = self.a_star.T
-        self.aug[:r_star, d1:] = self.b_star.T
-        self.a, self.bt = self.aug[:, :d1].T, self.aug[:, d1:]
-        self.z = z = self.aug[r_star:]
-        self.g = g = _aligned_zeros(z.shape)
-        z[:, :d1], z[:, d1:] = x.T, y.T
-        self.xt, self.yt = z[:, :d1], z[:, d1:]
-        self.gxt, self.gyt = g[:, :d1], g[:, d1:]
+        self.z[:, :d1], self.z[:, d1:] = x.T, y.T
+        self.xt, self.yt = self.z[:, :d1], self.z[:, d1:]
+        self.gxt, self.gyt = self.g[:, :d1], self.g[:, d1:]
         self.x, self.y = self.xt.T, self.yt.T
         self.gx, self.gy = self.gxt.T, self.gyt.T
         if self.balanced:
@@ -279,26 +269,16 @@ class _Problem:
             # buffer for its product.
             self.sign = _aligned_zeros((d1 + d2,))
             self.sign[:d1], self.sign[d1:] = 1.0, -1.0
-            self.u = _aligned_zeros(z.shape)
-        return z, g, (self.x, self.y), (self.gx, self.gy)
+            self.u = _aligned_zeros(self.z.shape)
 
-    def load(self, x, y):
-        """Evaluate the residual at (x, y) and return its relative error.
-
-        In the CSR layout x and y are held, not copied: objective() and
-        gradient() read the iterate loaded last, so it must not change in
-        between. In the dense layout they are copied into the problem's
-        iterate buffer, unless they are its own views (`buffers`).
-        """
+    def load(self):
+        """Evaluate the residual at z and return its relative error."""
         if self.dense:
-            if x is not self.x or y is not self.y:
-                self.buffers(x, y)
             np.matmul(self.a, self.bt, out=self.s)
             rel = frobenius_norm(self.s) / self.m_norm
             self.s *= self.w
             return rel
-        self.x, self.y = x, y
-        r = x.shape[1]
+        x, y, r = self.x, self.y, self.x.shape[1]
         step = max(8, RESIDUAL_BLOCK_BYTES // (64 * r) * 8)
         ones = np.ones(r)
         for lo in range(0, self.s_vals.size, step):
@@ -325,25 +305,15 @@ class _Problem:
             val += 0.125 * (balancing_norm(self) if bal is None else bal) ** 2
         return val
 
-    def gradient(self, gx, gy):
-        """Write the gradient at the loaded iterate into gx and gy. In the
-        dense layout it is formed in the gradient buffer of `buffers`, and
-        copied into gx and gy unless they are that buffer's views."""
-        if not self.dense:
-            x, y = self.x, self.y
-            gx[...] = self.s @ y
-            gy[...] = self.st @ x
-            if self.lam is not None:
-                gx += self.lam * x
-                gy += self.lam * y
-            if self.balanced:
-                b = self._imbalance()
-                gx += x @ b
-                gy -= y @ b
-            return
-        # Transposed, (Y.T S.T, X.T S), each written into its rows of g.
-        np.matmul(self.yt, self.st, out=self.gxt)
-        np.matmul(self.xt, self.s, out=self.gyt)
+    def gradient(self):
+        """Write the gradient at the loaded iterate into g."""
+        if self.dense:
+            # Transposed, (Y.T S.T, X.T S), each written into its rows of g.
+            np.matmul(self.yt, self.st, out=self.gxt)
+            np.matmul(self.xt, self.s, out=self.gyt)
+        else:
+            self.gx[...] = self.s @ self.y
+            self.gy[...] = self.st @ self.x
         if self.lam is not None:
             self.g += self.lam * self.z
         if self.balanced:
@@ -351,8 +321,6 @@ class _Problem:
             np.matmul(self._imbalance(), self.z, out=self.u)
             self.u *= self.sign
             self.g += self.u
-        if gx is not self.gx or gy is not self.gy:
-            gx[...], gy[...] = self.gx, self.gy
 
     def _imbalance(self):
         """0.5 (X.T X - Y.T Y) at the loaded iterate. Scaling by 0.5 is
@@ -367,19 +335,19 @@ class _Problem:
 def objective(f, gt, mask, variant):
     """Evaluate the selected objective at the factor pair f."""
     _check_shapes(f, gt, mask)
-    problem = _Problem(gt, mask, variant)
-    problem.load(f.x, f.y)
+    problem = _Problem(gt, mask, variant, f.x, f.y)
+    problem.load()
     return problem.objective()
 
 
 def gradient(f, gt, mask, variant):
     """Gradient of the selected objective, as a FactorPair."""
     _check_shapes(f, gt, mask)
-    problem = _Problem(gt, mask, variant)
-    _, _, (x, y), (gx, gy) = problem.buffers(f.x, f.y)
-    problem.load(x, y)
-    problem.gradient(gx, gy)
-    return FactorPair(np.ascontiguousarray(gx), np.ascontiguousarray(gy))
+    problem = _Problem(gt, mask, variant, f.x, f.y)
+    problem.load()
+    problem.gradient()
+    return FactorPair(np.ascontiguousarray(problem.gx),
+                      np.ascontiguousarray(problem.gy))
 
 
 def step(f, g, s):
@@ -409,13 +377,13 @@ def run(gt, mask, config, init):
             f"r(d1+d2)={init.r * (gt.d1 + gt.d2)}; proceeding",
             stacklevel=2)
 
-    problem = _Problem(gt, mask, config.variant)
+    problem = _Problem(gt, mask, config.variant, init.x, init.y)
     f_star = gt.optimal_pair()
     trace = IterateTrace()
     factors = [] if config.store_factors else None
-    # The iterate lives in one buffer z, updated in place from the gradient
-    # buffer g; x, y, gx and gy are views of them.
-    z, g, (x, y), (gx, gy) = problem.buffers(init.x, init.y)
+    # The iterate lives in the problem's buffer z, updated in place from its
+    # gradient buffer g; x and y are views of z.
+    z, g, x, y = problem.z, problem.g, problem.x, problem.y
     if config.compute_dist:
         buf_x = np.empty((DIST_CHUNK, gt.d1, init.r))
         buf_y = np.empty((DIST_CHUNK, gt.d2, init.r))
@@ -451,7 +419,7 @@ def run(gt, mask, config, init):
     # overflow and invalid-value warnings are not raised here.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.max_iters + 1):
-            rel = problem.load(x, y)
+            rel = problem.load()
             if not rel <= DIVERGENCE_REL_ERR:  # nan included
                 status = "diverged"
             elif rel < config.tol:
@@ -464,7 +432,7 @@ def run(gt, mask, config, init):
                 record(k, rel, status is not None)
             if status:
                 break
-            problem.gradient(gx, gy)
+            problem.gradient()
             np.multiply(g, config.step, out=g)
             np.subtract(z, g, out=z)
     seconds = time.perf_counter() - t0

@@ -89,7 +89,8 @@ CALLS = {
     "loo_init col": lambda gt, mask, f0: loo_init(gt, mask, R,
                                                   LooSelector(D1 + 9)),
     "_Problem": lambda gt, mask, f0: _Problem(gt, mask,
-                                              SolverVariant.vanilla()),
+                                              SolverVariant.vanilla(),
+                                              f0.x, f0.y),
     "run": lambda gt, mask, f0: run(
         gt, mask, SolverConfig(SolverVariant.vanilla(), step=0.5,
                                max_iters=3), f0),
@@ -111,9 +112,9 @@ def test_csr_load_holds_no_cells_by_rank_temporary(instance, variant):
     # at once held two |cells| x r arrays: 2.2 MB here, against this bound
     # of 0.9 MB and 0.96 MB for one |cells| x r array.
     gt, mask, f0 = instance
-    problem = _Problem(gt, mask, variant)
+    problem = _Problem(gt, mask, variant, f0.x, f0.y)
     assert not problem.dense
-    peak = traced_peak(lambda: problem.load(f0.x, f0.y))
+    peak = traced_peak(problem.load)
     bound = 3 * RESIDUAL_BLOCK_BYTES + (D1 + D2) * 2 * R * 8
     assert bound < mask.n_cells * R * 8
     assert peak < bound, f"{peak / bound:.2f} of the bound"
@@ -212,8 +213,8 @@ def test_dense_problem_keeps_two_dense_matrices(variant):
     f0 = spectral_init(gt, mask, r)
 
     def loaded():
-        problem = _Problem(gt, mask, variant)
-        problem.load(f0.x, f0.y)
+        problem = _Problem(gt, mask, variant, f0.x, f0.y)
+        problem.load()
         return problem
 
     _, kept = traced(loaded)

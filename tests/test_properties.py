@@ -214,12 +214,12 @@ def test_problem_layouts_match_dense_oracle(layout, tag, data, scale, seed):
                    10.0 ** scale * rng.standard_normal((gt.d2, gt.r)))
     with mock.patch.object(sampling, "DENSE_SIZE_LIMIT",
                            LAYOUT_LIMITS[layout]):
-        problem = solvers._Problem(gt, mask, variant)
+        problem = solvers._Problem(gt, mask, variant, f.x, f.y)
     assert problem.dense == (layout == "dense")
-    rel = problem.load(f.x, f.y)
+    rel = problem.load()
     value = problem.objective()
-    g = FactorPair(np.empty_like(f.x), np.empty_like(f.y))
-    problem.gradient(g.x, g.y)
+    problem.gradient()
+    g = FactorPair(problem.gx, problem.gy)
     ref = (np.linalg.norm(f.x @ f.y.T - gt.m_star)
            / np.linalg.norm(gt.m_star))
     assert abs(rel - ref) <= 1e-12 * (1.0 + ref)

@@ -43,7 +43,8 @@ def layout(request, monkeypatch):
 
 def _assert_layout(layout, gt, mask, variant=SolverVariant.vanilla()):
     """The problem binds the layout the `layout` fixture set."""
-    assert solvers._Problem(gt, mask, variant).dense == (layout == "dense")
+    assert solvers._Problem(gt, mask, variant, gt.u_star,
+                            gt.v_star).dense == (layout == "dense")
 
 
 def _in_both_layouts(values, ids):
@@ -250,9 +251,9 @@ def test_dense_load_matches_two_buffer_reference(variant):
     gt = gen_ground_truth(30, 20, 3, 2.0, seed=21)
     mask = sample_mask(30, 20, 0.3, seed=22)
     f = _random_pair(np.random.default_rng(23), 30, 20, 3)
-    problem = solvers._Problem(gt, mask, variant)
+    problem = solvers._Problem(gt, mask, variant, f.x, f.y)
     assert problem.dense
-    rel = problem.load(f.x, f.y)
+    rel = problem.load()
 
     cells, div = mask, mask.p
     if variant.sel is not None:
@@ -287,9 +288,9 @@ def test_dense_problem_matches_oracle_at_benchmark_sizes(variant, d1, d2, r):
     mask = sample_mask(d1, d2, 0.3, seed=32)
     f0 = spectral_init(gt, mask, r)
     f = FactorPair(2.0 * f0.x, 0.5 * f0.y)  # unbalanced, so b is not 0
-    problem = solvers._Problem(gt, mask, variant)
+    problem = solvers._Problem(gt, mask, variant, f.x, f.y)
     assert problem.dense
-    rel = problem.load(f.x, f.y)
+    rel = problem.load()
 
     cells, div = mask, mask.p
     if variant.sel is not None:
@@ -300,8 +301,8 @@ def test_dense_problem_matches_oracle_at_benchmark_sizes(variant, d1, d2, r):
     ulp = np.finfo(np.float64).eps * frobenius_norm(gt.m_star)
     assert abs(rel * frobenius_norm(gt.m_star) - frobenius_norm(d)) <= 4 * ulp
     assert np.all(np.abs(problem.s - d * w) <= 4 * ulp * w)
-    g = FactorPair(np.empty_like(f.x), np.empty_like(f.y))
-    problem.gradient(g.x, g.y)
+    problem.gradient()
+    g = FactorPair(problem.gx, problem.gy)
     b = 0.5 * (f.x.T @ f.x - f.y.T @ f.y) * problem.balanced
     for got, want in ((g.x, (d * w) @ f.y + f.x @ b),
                       (g.y, (d * w).T @ f.x - f.y @ b)):
@@ -327,14 +328,33 @@ def test_dense_working_arrays_start_on_64_byte_boundaries(variant, d1, d2, r):
     # a mmapped 300x200 array at +16 bytes.
     gt = gen_ground_truth(d1, d2, r, 2.0, seed=31)
     mask = sample_mask(d1, d2, 0.3, seed=32)
-    problem = solvers._Problem(gt, mask, variant)
     f = _random_pair(np.random.default_rng(33), d1, d2, r)
-    problem.buffers(f.x, f.y)
+    problem = solvers._Problem(gt, mask, variant, f.x, f.y)
     names = ["w", "s", "aug", "g"] + ["sign", "u"] * problem.balanced
     offsets = {name: getattr(problem, name).ctypes.data % 64
                for name in names}
     offsets["observed"] = sampling._observed_matrix(mask, 1.0).ctypes.data % 64
     assert offsets == dict.fromkeys(offsets, 0)
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=_variant_id)
+@pytest.mark.parametrize("layout", list(LAYOUT_LIMITS), indirect=True)
+def test_problem_reads_its_own_copy_of_the_iterate(instance, layout, variant):
+    # A problem copies the iterate it is bound to: overwriting the caller's
+    # arrays afterwards changes none of its values, bit for bit.
+    gt, mask = instance
+    f = _random_pair(np.random.default_rng(41), gt.d1, gt.d2, gt.r)
+    problem = solvers._Problem(gt, mask, variant, f.x, f.y)
+    ref = solvers._Problem(gt, mask, variant, f.x.copy(), f.y.copy())
+    assert problem.dense == (layout == "dense")
+    f.x[...] *= -3.0
+    f.y[...] += 1.0
+    assert problem.load() == ref.load()
+    assert problem.objective() == ref.objective()
+    problem.gradient()
+    ref.gradient()
+    for got, want in ((problem.gx, ref.gx), (problem.gy, ref.gy)):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -346,12 +366,13 @@ def test_layouts_agree_on_headline_instance(variant, monkeypatch):
     gt = gen_ground_truth(160, 100, 5, 1.0, derive_seed(1, (0, 0), "VGD", 0))
     mask = sample_mask(160, 100, 0.2, derive_seed(1, (1, 0), "VGD", 0))
     init = spectral_init(gt, mask, 5)
-    assert solvers._Problem(gt, mask, variant).dense
+    assert solvers._Problem(gt, mask, variant, init.x, init.y).dense
     cfg = SolverConfig(variant=variant, step=0.5, max_iters=5000, tol=1e-14)
     rel = {}
     for name, limit in LAYOUT_LIMITS.items():
         monkeypatch.setattr(sampling, "DENSE_SIZE_LIMIT", limit)
-        assert solvers._Problem(gt, mask, variant).dense == (name == "dense")
+        assert solvers._Problem(gt, mask, variant, init.x,
+                                init.y).dense == (name == "dense")
         res = run(gt, mask, cfg, init)
         assert res.status == "converged"
         assert abs(res.iterations - 786) <= 1
@@ -846,9 +867,9 @@ def block_instance():
 
 def _csr_load(gt, mask, variant, f):
     """(S.data, relative error) of one CSR load."""
-    problem = solvers._Problem(gt, mask, variant)
+    problem = solvers._Problem(gt, mask, variant, f.x, f.y)
     assert not problem.dense
-    rel = problem.load(f.x, f.y)
+    rel = problem.load()
     return problem.s.data.copy(), rel
 
 
@@ -892,9 +913,9 @@ import hashlib
 from lrmc.solvers import SolverVariant, _Problem
 for r in {BLOCK_RANKS!r}:
     for variant in (SolverVariant.vanilla(), SolverVariant.leave_one_out(7)):
-        problem = _Problem(gt, mask, variant)
         f = block_pair(r)
-        problem.load(f.x, f.y)
+        problem = _Problem(gt, mask, variant, f.x, f.y)
+        problem.load()
         print(hashlib.sha256(problem.s.data.tobytes()).hexdigest())
 """
     src = os.path.dirname(os.path.dirname(solvers.__file__))
